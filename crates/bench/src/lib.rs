@@ -23,6 +23,7 @@
 //! `no-adhoc-bench` lint keeps these bins declarative: they may not
 //! touch the engine or serve seams directly.
 //!
-//! Criterion microbenchmarks stay under `benches/`.
+//! Wall-clock benchmarking lives in the standalone `perfbench/` package
+//! (see `perfbench/README.md`).
 
 pub use mc_spec::{RESULTS_DIR, TEST_FRACTION};

@@ -27,6 +27,7 @@ pub mod bpe;
 pub mod cache;
 pub mod concrete;
 pub mod cost;
+mod counts;
 pub mod ensemble;
 pub mod generate;
 pub mod metered;

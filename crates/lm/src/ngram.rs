@@ -15,23 +15,10 @@
 //! patterns (the "LLaMA2" preset), a shallow high-`gamma` one can only see
 //! local digit statistics (the "Phi-2" preset).
 
-use std::collections::HashMap;
-
 use crate::cost::InferenceCost;
-use crate::model::{DecodeSession, FrozenLm, LanguageModel};
+use crate::counts::{Context, CountTable, Layered};
+use crate::model::{observe_all, DecodeSession, FrozenLm, LanguageModel};
 use crate::vocab::TokenId;
-
-/// Radix-encodes the last `k` tokens of `history` into a map key — the
-/// context-key scheme shared by [`NGramLm`] and [`crate::ppm::PpmLm`]
-/// (and their frozen decode sessions, which must reproduce it exactly).
-pub(crate) fn radix_key(history: &[TokenId], k: usize, vocab_size: usize) -> u64 {
-    debug_assert!(k <= history.len());
-    let mut key = 0u64;
-    for &t in &history[history.len() - k..] {
-        key = key * vocab_size as u64 + t as u64;
-    }
-    key
-}
 
 /// Interpolated n-gram LM. See the module docs.
 #[derive(Debug, Clone)]
@@ -39,11 +26,10 @@ pub struct NGramLm {
     vocab_size: usize,
     max_order: usize,
     gamma: f64,
-    /// `counts[k]` maps a radix-encoded `k`-token context to next-token
-    /// count vectors.
-    counts: Vec<HashMap<u64, Vec<u32>>>,
-    /// Most recent `max_order` tokens, oldest first.
-    history: Vec<TokenId>,
+    /// Next-token counts for every context order `0..=max_order`.
+    counts: CountTable,
+    /// Radix keys of the most recent `max_order` tokens.
+    context: Context,
     cost: InferenceCost,
     name: String,
 }
@@ -64,8 +50,8 @@ impl NGramLm {
             vocab_size,
             max_order,
             gamma,
-            counts: vec![HashMap::new(); max_order + 1],
-            history: Vec::with_capacity(max_order),
+            counts: CountTable::new(vocab_size, max_order),
+            context: Context::new(vocab_size, max_order),
             cost: InferenceCost::default(),
             name: name.into(),
         }
@@ -76,9 +62,16 @@ impl NGramLm {
         self.max_order
     }
 
-    /// Radix-encodes the last `k` history tokens into a map key.
-    fn key(&self, k: usize) -> u64 {
-        radix_key(&self.history, k, self.vocab_size)
+    /// The model conditioned on `prompt` (see [`NGramLm::observe_prompt`]).
+    pub(crate) fn fitted(mut self, prompt: &[TokenId]) -> Self {
+        self.observe_prompt(prompt);
+        self
+    }
+
+    /// Observes a whole prompt, sizing the count table for it first.
+    fn observe_prompt(&mut self, prompt: &[TokenId]) {
+        self.counts.reserve(prompt.len());
+        observe_all(self, prompt);
     }
 
     /// Freezes the model after prompt conditioning; decode via
@@ -86,6 +79,41 @@ impl NGramLm {
     pub fn into_frozen(self) -> FrozenNGram {
         FrozenNGram { base: self }
     }
+}
+
+/// Writes the interpolated next-token distribution for `context` into
+/// `out` and returns the number of count rows consulted.
+///
+/// Order 0 is a unigram with add-one smoothing toward uniform; each
+/// higher order with a seen context is mixed in with
+/// `λ = n / (n + gamma · distinct)`, and a missing context keeps the
+/// lower-order estimate (full back-off). Row totals are exact integers,
+/// so `total as f64` equals the left-to-right `f64` sum of the counts.
+fn interpolate(rows: Layered<'_>, context: &Context, gamma: f64, out: &mut [f64]) -> u64 {
+    let v = out.len() as f64;
+    match rows.row(0, 0) {
+        Some(row) => {
+            let total = row.total as f64;
+            for (slot, &x) in out.iter_mut().zip(row.counts) {
+                *slot = (x as f64 + 1.0) / (total + v);
+            }
+        }
+        None => out.fill(1.0 / v),
+    }
+    let deepest = context.depth();
+    for k in 1..=deepest {
+        let Some(row) = rows.row(k, context.key(k)) else {
+            continue;
+        };
+        let total = row.total as f64;
+        if total > 0.0 {
+            let lambda = total / (total + gamma * row.distinct as f64);
+            for (slot, &c) in out.iter_mut().zip(row.counts) {
+                *slot = lambda * (c as f64 / total) + (1.0 - lambda) * *slot;
+            }
+        }
+    }
+    deepest as u64 + 1
 }
 
 /// A prompt-conditioned [`NGramLm`] frozen for sampling.
@@ -115,25 +143,23 @@ impl FrozenLm for FrozenNGram {
         // Fitting is observing: replaying the suffix through the same
         // observe path reaches the exact state a from-scratch fit on the
         // extended prompt would (same counts, history, cost).
-        for &t in tokens {
-            self.base.observe(t, false);
-        }
+        self.base.observe_prompt(tokens);
         true
     }
 }
 
 /// One sample's decode cursor over a frozen [`NGramLm`].
 ///
-/// Count updates for generated tokens go into a copy-on-write overlay (the
-/// affected count vector is copied from the base on first touch), so the
-/// frozen base is shared read-only and the session sees exactly the counts
-/// a mutated clone would — same `u32` counts, same `f64` arithmetic,
-/// bit-identical distributions.
+/// Count updates for generated tokens go into a copy-on-write overlay
+/// table (a row and its cached sums are copied from the base on first
+/// touch), so the frozen base is shared read-only and the session sees
+/// exactly the counts a mutated clone would — same `u32` counts, same
+/// `f64` arithmetic, bit-identical distributions.
 #[derive(Debug)]
 pub struct NGramSession<'a> {
     base: &'a NGramLm,
-    overlay: Vec<HashMap<u64, Vec<u32>>>,
-    history: Vec<TokenId>,
+    overlay: CountTable,
+    context: Context,
     cost: InferenceCost,
 }
 
@@ -141,14 +167,10 @@ impl<'a> NGramSession<'a> {
     pub(crate) fn new(base: &'a NGramLm) -> Self {
         Self {
             base,
-            overlay: vec![HashMap::new(); base.max_order + 1],
-            history: base.history.clone(),
+            overlay: CountTable::new(base.vocab_size, base.max_order),
+            context: base.context.clone(),
             cost: InferenceCost::default(),
         }
-    }
-
-    fn counts(&self, k: usize, key: u64) -> Option<&Vec<u32>> {
-        self.overlay[k].get(&key).or_else(|| self.base.counts[k].get(&key))
     }
 }
 
@@ -158,55 +180,15 @@ impl DecodeSession for NGramSession<'_> {
     }
 
     fn observe(&mut self, token: TokenId) {
-        let vocab_size = self.base.vocab_size;
-        assert!((token as usize) < vocab_size, "token {token} out of range");
-        for k in 0..=self.base.max_order.min(self.history.len()) {
-            let key = radix_key(&self.history, k, vocab_size);
-            let base_counts = &self.base.counts[k];
-            let slot = self.overlay[k].entry(key).or_insert_with(|| {
-                base_counts.get(&key).cloned().unwrap_or_else(|| vec![0u32; vocab_size])
-            });
-            slot[token as usize] += 1;
-            self.cost.work_units += 1;
-        }
-        self.history.push(token);
-        if self.history.len() > self.base.max_order {
-            self.history.remove(0);
-        }
+        self.cost.work_units +=
+            self.context.observe(&mut self.overlay, Some(&self.base.counts), token);
         self.cost.generated_tokens += 1;
     }
 
     fn next_distribution(&mut self, out: &mut [f64]) {
         assert_eq!(out.len(), self.base.vocab_size, "distribution buffer size");
-        let v = self.base.vocab_size as f64;
-        // Order 0 base: unigram with add-one smoothing toward uniform
-        // (mirrors `NGramLm::next_distribution` operation for operation).
-        let mut p: Vec<f64> = {
-            self.cost.work_units += 1;
-            match self.counts(0, 0) {
-                Some(c) => {
-                    let total: f64 = c.iter().map(|&x| x as f64).sum();
-                    c.iter().map(|&x| (x as f64 + 1.0) / (total + v)).collect()
-                }
-                None => vec![1.0 / v; self.base.vocab_size],
-            }
-        };
-        let deepest = self.base.max_order.min(self.history.len());
-        for k in 1..=deepest {
-            let key = radix_key(&self.history, k, self.base.vocab_size);
-            self.cost.work_units += 1;
-            if let Some(c) = self.counts(k, key) {
-                let total: f64 = c.iter().map(|&x| x as f64).sum();
-                if total > 0.0 {
-                    let distinct = c.iter().filter(|&&x| x > 0).count() as f64;
-                    let lambda = total / (total + self.base.gamma * distinct);
-                    for (i, slot) in p.iter_mut().enumerate() {
-                        *slot = lambda * (c[i] as f64 / total) + (1.0 - lambda) * *slot;
-                    }
-                }
-            }
-        }
-        out.copy_from_slice(&p);
+        let rows = Layered { top: Some(&self.overlay), base: &self.base.counts };
+        self.cost.work_units += interpolate(rows, &self.context, self.base.gamma, out);
     }
 
     fn cost(&self) -> InferenceCost {
@@ -220,26 +202,14 @@ impl LanguageModel for NGramLm {
     }
 
     fn reset(&mut self) {
-        for m in &mut self.counts {
-            m.clear();
-        }
-        self.history.clear();
+        self.counts.clear();
+        self.context.clear();
         self.cost = InferenceCost::default();
     }
 
     fn observe(&mut self, token: TokenId, generated: bool) {
-        assert!((token as usize) < self.vocab_size, "token {token} out of range");
         // Update every order's counts for the transition (context → token).
-        for k in 0..=self.max_order.min(self.history.len()) {
-            let key = self.key(k);
-            let slot = self.counts[k].entry(key).or_insert_with(|| vec![0u32; self.vocab_size]);
-            slot[token as usize] += 1;
-            self.cost.work_units += 1;
-        }
-        self.history.push(token);
-        if self.history.len() > self.max_order {
-            self.history.remove(0);
-        }
+        self.cost.work_units += self.context.observe(&mut self.counts, None, token);
         if generated {
             self.cost.generated_tokens += 1;
         } else {
@@ -249,37 +219,8 @@ impl LanguageModel for NGramLm {
 
     fn next_distribution(&mut self, out: &mut [f64]) {
         assert_eq!(out.len(), self.vocab_size, "distribution buffer size");
-        let v = self.vocab_size as f64;
-        // Order 0 base: unigram with add-one smoothing toward uniform.
-        let mut p: Vec<f64> = {
-            let zero = self.counts[0].get(&0);
-            self.cost.work_units += 1;
-            match zero {
-                Some(c) => {
-                    let total: f64 = c.iter().map(|&x| x as f64).sum();
-                    c.iter().map(|&x| (x as f64 + 1.0) / (total + v)).collect()
-                }
-                None => vec![1.0 / v; self.vocab_size],
-            }
-        };
-        // Interpolate higher orders: λ = n / (n + gamma · distinct).
-        let deepest = self.max_order.min(self.history.len());
-        for k in 1..=deepest {
-            let key = self.key(k);
-            self.cost.work_units += 1;
-            if let Some(c) = self.counts[k].get(&key) {
-                let total: f64 = c.iter().map(|&x| x as f64).sum();
-                if total > 0.0 {
-                    let distinct = c.iter().filter(|&&x| x > 0).count() as f64;
-                    let lambda = total / (total + self.gamma * distinct);
-                    for (i, slot) in p.iter_mut().enumerate() {
-                        *slot = lambda * (c[i] as f64 / total) + (1.0 - lambda) * *slot;
-                    }
-                }
-            }
-            // Missing context: keep the lower-order estimate (full back-off).
-        }
-        out.copy_from_slice(&p);
+        let rows = Layered { top: None, base: &self.counts };
+        self.cost.work_units += interpolate(rows, &self.context, self.gamma, out);
     }
 
     fn cost(&self) -> InferenceCost {

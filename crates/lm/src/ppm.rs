@@ -12,11 +12,9 @@
 //! serves as an ablation backend — same interface, different inductive
 //! bias (hard back-off vs soft mixing).
 
-use std::collections::HashMap;
-
 use crate::cost::InferenceCost;
-use crate::model::{DecodeSession, FrozenLm, LanguageModel};
-use crate::ngram::radix_key;
+use crate::counts::{Context, CountTable, Layered};
+use crate::model::{observe_all, DecodeSession, FrozenLm, LanguageModel};
 use crate::vocab::TokenId;
 
 /// PPM-C language model. See the module docs.
@@ -24,10 +22,12 @@ use crate::vocab::TokenId;
 pub struct PpmLm {
     vocab_size: usize,
     max_order: usize,
-    /// `counts[k]` maps a radix-encoded `k`-token context to next-token
-    /// count vectors (same layout as `NGramLm`).
-    counts: Vec<HashMap<u64, Vec<u32>>>,
-    history: Vec<TokenId>,
+    /// Next-token counts for every context order (same table as
+    /// `NGramLm`).
+    counts: CountTable,
+    context: Context,
+    /// Exclusion scratch for [`LanguageModel::next_distribution`].
+    excluded: Vec<bool>,
     cost: InferenceCost,
     name: String,
 }
@@ -44,15 +44,24 @@ impl PpmLm {
         Self {
             vocab_size,
             max_order,
-            counts: vec![HashMap::new(); max_order + 1],
-            history: Vec::with_capacity(max_order),
+            counts: CountTable::new(vocab_size, max_order),
+            context: Context::new(vocab_size, max_order),
+            excluded: vec![false; vocab_size],
             cost: InferenceCost::default(),
             name: name.into(),
         }
     }
 
-    fn key(&self, k: usize) -> u64 {
-        radix_key(&self.history, k, self.vocab_size)
+    /// The model conditioned on `prompt` (see [`PpmLm::observe_prompt`]).
+    pub(crate) fn fitted(mut self, prompt: &[TokenId]) -> Self {
+        self.observe_prompt(prompt);
+        self
+    }
+
+    /// Observes a whole prompt, sizing the count table for it first.
+    fn observe_prompt(&mut self, prompt: &[TokenId]) {
+        self.counts.reserve(prompt.len());
+        observe_all(self, prompt);
     }
 
     /// Freezes the model after prompt conditioning; decode via
@@ -60,6 +69,64 @@ impl PpmLm {
     pub fn into_frozen(self) -> FrozenPpm {
         FrozenPpm { base: self }
     }
+}
+
+/// Writes the PPM-C next-token distribution for `context` into `out`,
+/// using `excluded` (one flag per token) as scratch, and returns the
+/// number of count rows consulted.
+fn predict(rows: Layered<'_>, context: &Context, excluded: &mut [bool], out: &mut [f64]) -> u64 {
+    out.fill(0.0);
+    excluded.fill(false);
+    // Mass still to distribute (product of escapes so far).
+    let mut remaining = 1.0f64;
+    let mut consulted = 0;
+    for k in (0..=context.depth()).rev() {
+        consulted += 1;
+        let Some(row) = rows.row(k, context.key(k)) else {
+            continue; // unseen context: free escape to the next order
+        };
+        // Counts over non-excluded symbols only (PPM exclusion).
+        let mut total = 0u64;
+        let mut distinct = 0u64;
+        for (&cnt, &ex) in row.counts.iter().zip(excluded.iter()) {
+            if cnt > 0 && !ex {
+                total += u64::from(cnt);
+                distinct += 1;
+            }
+        }
+        if total == 0 {
+            continue;
+        }
+        // Method C: escape mass = distinct / (total + distinct).
+        let denom = (total + distinct) as f64;
+        for ((o, &cnt), ex) in out.iter_mut().zip(row.counts).zip(excluded.iter_mut()) {
+            if cnt > 0 && !*ex {
+                *o += remaining * cnt as f64 / denom;
+                *ex = true;
+            }
+        }
+        remaining *= distinct as f64 / denom;
+        if remaining < 1e-15 {
+            break;
+        }
+    }
+    // Order -1: uniform over still-excluded-free symbols; when every
+    // symbol was seen the tiny remaining mass is dropped instead.
+    let free = excluded.iter().filter(|&&e| !e).count();
+    if free > 0 {
+        let share = remaining / free as f64;
+        for (o, &e) in out.iter_mut().zip(excluded.iter()) {
+            if !e {
+                *o += share;
+            }
+        }
+    }
+    // Normalize defensively against rounding drift.
+    let total: f64 = out.iter().sum();
+    for o in out.iter_mut() {
+        *o /= total;
+    }
+    consulted
 }
 
 /// A prompt-conditioned [`PpmLm`] frozen for sampling.
@@ -89,9 +156,7 @@ impl FrozenLm for FrozenPpm {
         // Fitting is observing: replaying the suffix through the same
         // observe path reaches the exact state a from-scratch fit on the
         // extended prompt would (same counts, history, cost).
-        for &t in tokens {
-            self.base.observe(t, false);
-        }
+        self.base.observe_prompt(tokens);
         true
     }
 }
@@ -99,13 +164,14 @@ impl FrozenLm for FrozenPpm {
 /// One sample's decode cursor over a frozen [`PpmLm`].
 ///
 /// Copy-on-write: contexts touched by this session's generated tokens get
-/// a private count vector (cloned from the base on first touch); untouched
-/// contexts read the frozen counts directly.
+/// a private row in an overlay table (copied from the base on first
+/// touch); untouched contexts read the frozen counts directly.
 #[derive(Debug)]
 pub struct PpmSession<'a> {
     base: &'a PpmLm,
-    overlay: Vec<HashMap<u64, Vec<u32>>>,
-    history: Vec<TokenId>,
+    overlay: CountTable,
+    context: Context,
+    excluded: Vec<bool>,
     cost: InferenceCost,
 }
 
@@ -113,14 +179,11 @@ impl<'a> PpmSession<'a> {
     pub(crate) fn new(base: &'a PpmLm) -> Self {
         Self {
             base,
-            overlay: vec![HashMap::new(); base.max_order + 1],
-            history: base.history.clone(),
+            overlay: CountTable::new(base.vocab_size, base.max_order),
+            context: base.context.clone(),
+            excluded: vec![false; base.vocab_size],
             cost: InferenceCost::default(),
         }
-    }
-
-    fn counts(&self, k: usize, key: u64) -> Option<&Vec<u32>> {
-        self.overlay[k].get(&key).or_else(|| self.base.counts[k].get(&key))
     }
 }
 
@@ -130,79 +193,15 @@ impl DecodeSession for PpmSession<'_> {
     }
 
     fn observe(&mut self, token: TokenId) {
-        assert!((token as usize) < self.base.vocab_size, "token {token} out of range");
-        for k in 0..=self.base.max_order.min(self.history.len()) {
-            let key = radix_key(&self.history, k, self.base.vocab_size);
-            let slot = self.overlay[k].entry(key).or_insert_with(|| {
-                self.base.counts[k]
-                    .get(&key)
-                    .cloned()
-                    .unwrap_or_else(|| vec![0u32; self.base.vocab_size])
-            });
-            slot[token as usize] += 1;
-            self.cost.work_units += 1;
-        }
-        self.history.push(token);
-        if self.history.len() > self.base.max_order {
-            self.history.remove(0);
-        }
+        self.cost.work_units +=
+            self.context.observe(&mut self.overlay, Some(&self.base.counts), token);
         self.cost.generated_tokens += 1;
     }
 
     fn next_distribution(&mut self, out: &mut [f64]) {
         assert_eq!(out.len(), self.base.vocab_size, "distribution buffer size");
-        out.iter_mut().for_each(|v| *v = 0.0);
-        let mut excluded = vec![false; self.base.vocab_size];
-        let mut remaining = 1.0f64;
-        let deepest = self.base.max_order.min(self.history.len());
-        for k in (0..=deepest).rev() {
-            let key = radix_key(&self.history, k, self.base.vocab_size);
-            self.cost.work_units += 1;
-            let Some(c) = self.counts(k, key) else {
-                continue; // unseen context: free escape to the next order
-            };
-            let mut total = 0u64;
-            let mut distinct = 0u64;
-            for (i, &cnt) in c.iter().enumerate() {
-                if cnt > 0 && !excluded[i] {
-                    total += cnt as u64;
-                    distinct += 1;
-                }
-            }
-            if total == 0 {
-                continue;
-            }
-            let denom = (total + distinct) as f64;
-            for (i, &cnt) in c.iter().enumerate() {
-                if cnt > 0 && !excluded[i] {
-                    out[i] += remaining * cnt as f64 / denom;
-                    excluded[i] = true;
-                }
-            }
-            remaining *= distinct as f64 / denom;
-            if remaining < 1e-15 {
-                break;
-            }
-        }
-        let free = excluded.iter().filter(|&&e| !e).count();
-        if free > 0 {
-            let share = remaining / free as f64;
-            for (o, &e) in out.iter_mut().zip(&excluded) {
-                if !e {
-                    *o += share;
-                }
-            }
-        } else {
-            let total: f64 = out.iter().sum();
-            for o in out.iter_mut() {
-                *o /= total;
-            }
-            return;
-        }
-        let total: f64 = out.iter().sum();
-        for o in out.iter_mut() {
-            *o /= total;
-        }
+        let rows = Layered { top: Some(&self.overlay), base: &self.base.counts };
+        self.cost.work_units += predict(rows, &self.context, &mut self.excluded, out);
     }
 
     fn cost(&self) -> InferenceCost {
@@ -216,25 +215,13 @@ impl LanguageModel for PpmLm {
     }
 
     fn reset(&mut self) {
-        for m in &mut self.counts {
-            m.clear();
-        }
-        self.history.clear();
+        self.counts.clear();
+        self.context.clear();
         self.cost = InferenceCost::default();
     }
 
     fn observe(&mut self, token: TokenId, generated: bool) {
-        assert!((token as usize) < self.vocab_size, "token {token} out of range");
-        for k in 0..=self.max_order.min(self.history.len()) {
-            let key = self.key(k);
-            let slot = self.counts[k].entry(key).or_insert_with(|| vec![0u32; self.vocab_size]);
-            slot[token as usize] += 1;
-            self.cost.work_units += 1;
-        }
-        self.history.push(token);
-        if self.history.len() > self.max_order {
-            self.history.remove(0);
-        }
+        self.cost.work_units += self.context.observe(&mut self.counts, None, token);
         if generated {
             self.cost.generated_tokens += 1;
         } else {
@@ -244,64 +231,8 @@ impl LanguageModel for PpmLm {
 
     fn next_distribution(&mut self, out: &mut [f64]) {
         assert_eq!(out.len(), self.vocab_size, "distribution buffer size");
-        out.iter_mut().for_each(|v| *v = 0.0);
-        let mut excluded = vec![false; self.vocab_size];
-        // Mass still to distribute (product of escapes so far).
-        let mut remaining = 1.0f64;
-        let deepest = self.max_order.min(self.history.len());
-        for k in (0..=deepest).rev() {
-            let key = self.key(k);
-            self.cost.work_units += 1;
-            let Some(c) = self.counts[k].get(&key) else {
-                continue; // unseen context: free escape to the next order
-            };
-            // Counts over non-excluded symbols only (PPM exclusion).
-            let mut total = 0u64;
-            let mut distinct = 0u64;
-            for (i, &cnt) in c.iter().enumerate() {
-                if cnt > 0 && !excluded[i] {
-                    total += cnt as u64;
-                    distinct += 1;
-                }
-            }
-            if total == 0 {
-                continue;
-            }
-            // Method C: escape mass = distinct / (total + distinct).
-            let denom = (total + distinct) as f64;
-            for (i, &cnt) in c.iter().enumerate() {
-                if cnt > 0 && !excluded[i] {
-                    out[i] += remaining * cnt as f64 / denom;
-                    excluded[i] = true;
-                }
-            }
-            remaining *= distinct as f64 / denom;
-            if remaining < 1e-15 {
-                break;
-            }
-        }
-        // Order -1: uniform over still-excluded-free symbols.
-        let free = excluded.iter().filter(|&&e| !e).count();
-        if free > 0 {
-            let share = remaining / free as f64;
-            for (o, &e) in out.iter_mut().zip(&excluded) {
-                if !e {
-                    *o += share;
-                }
-            }
-        } else {
-            // All symbols seen: renormalize (remaining mass is tiny).
-            let total: f64 = out.iter().sum();
-            for o in out.iter_mut() {
-                *o /= total;
-            }
-            return;
-        }
-        // Normalize defensively against rounding drift.
-        let total: f64 = out.iter().sum();
-        for o in out.iter_mut() {
-            *o /= total;
-        }
+        let rows = Layered { top: None, base: &self.counts };
+        self.cost.work_units += predict(rows, &self.context, &mut self.excluded, out);
     }
 
     fn cost(&self) -> InferenceCost {

@@ -102,10 +102,10 @@ pub fn fit_model(preset: ModelPreset, vocab_size: usize, prompt: &[TokenId]) -> 
     }
     match preset {
         ModelPreset::Large => Box::new(
-            fit(NGramLm::new(vocab_size, 10, 0.25, preset.display_name()), prompt).into_frozen(),
+            NGramLm::new(vocab_size, 10, 0.25, preset.display_name()).fitted(prompt).into_frozen(),
         ),
         ModelPreset::Small => Box::new(
-            fit(NGramLm::new(vocab_size, 2, 2.0, preset.display_name()), prompt).into_frozen(),
+            NGramLm::new(vocab_size, 2, 2.0, preset.display_name()).fitted(prompt).into_frozen(),
         ),
         ModelPreset::Suffix => Box::new(
             fit(SuffixLm::new(vocab_size, 24, 1.8, 0.5, preset.display_name()), prompt)
@@ -115,7 +115,8 @@ pub fn fit_model(preset: ModelPreset, vocab_size: usize, prompt: &[TokenId]) -> 
             vec![
                 (
                     Box::new(
-                        fit(NGramLm::new(vocab_size, 10, 0.25, "member:ngram"), prompt)
+                        NGramLm::new(vocab_size, 10, 0.25, "member:ngram")
+                            .fitted(prompt)
                             .into_frozen(),
                     ) as Box<dyn FrozenLm>,
                     1.0,
@@ -131,7 +132,7 @@ pub fn fit_model(preset: ModelPreset, vocab_size: usize, prompt: &[TokenId]) -> 
             preset.display_name(),
         )),
         ModelPreset::Ppm => {
-            Box::new(fit(PpmLm::new(vocab_size, 8, preset.display_name()), prompt).into_frozen())
+            Box::new(PpmLm::new(vocab_size, 8, preset.display_name()).fitted(prompt).into_frozen())
         }
     }
 }

@@ -43,6 +43,8 @@ impl Default for SamplerConfig {
 pub struct Sampler {
     config: SamplerConfig,
     rng: StdRng,
+    /// Candidate `(id, probability)` scratch, reused across draws.
+    probs: Vec<(TokenId, f64)>,
 }
 
 impl Sampler {
@@ -56,7 +58,7 @@ impl Sampler {
             assert!(k > 0, "top_k must be positive");
         }
         assert!((0.0..1.0).contains(&config.epsilon), "epsilon must be in [0, 1)");
-        Self { rng: StdRng::seed_from_u64(config.seed), config }
+        Self { rng: StdRng::seed_from_u64(config.seed), config, probs: Vec::new() }
     }
 
     /// Draws a token from `dist`, considering only ids where
@@ -66,23 +68,25 @@ impl Sampler {
     /// If no allowed token has positive probability mass *and* uniform
     /// fallback over the allowed set is impossible (empty allowed set).
     pub fn sample(&mut self, dist: &[f64], allowed: impl Fn(TokenId) -> bool) -> TokenId {
+        let probs = &mut self.probs;
         // 1. Mask.
-        let mut probs: Vec<(TokenId, f64)> = dist
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| allowed(*i as TokenId))
-            .map(|(i, &p)| (i as TokenId, p.max(0.0)))
-            .collect();
+        probs.clear();
+        probs.extend(
+            dist.iter()
+                .enumerate()
+                .filter(|(i, _)| allowed(*i as TokenId))
+                .map(|(i, &p)| (i as TokenId, p.max(0.0))),
+        );
         assert!(!probs.is_empty(), "constraint excludes every token");
         let mass: f64 = probs.iter().map(|(_, p)| p).sum();
         if mass <= 0.0 {
             // Model put no mass on the allowed set: fall back to uniform.
             let u = 1.0 / probs.len() as f64;
-            for p in &mut probs {
+            for p in probs.iter_mut() {
                 p.1 = u;
             }
         } else {
-            for p in &mut probs {
+            for p in probs.iter_mut() {
                 p.1 /= mass;
             }
         }
@@ -91,17 +95,18 @@ impl Sampler {
         if (self.config.temperature - 1.0).abs() > 1e-12 {
             let inv_t = 1.0 / self.config.temperature;
             let mut total = 0.0;
-            for p in &mut probs {
+            for p in probs.iter_mut() {
                 p.1 = p.1.powf(inv_t);
                 total += p.1;
             }
-            for p in &mut probs {
+            for p in probs.iter_mut() {
                 p.1 /= total;
             }
         }
 
-        // 3. Truncation: sort by probability descending once for both rules.
-        probs.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        // 3. Truncation: order by probability descending once for both
+        // rules. Stable, so equal probabilities keep id order.
+        sort_descending(probs);
         if let Some(k) = self.config.top_k {
             probs.truncate(k.max(1));
         }
@@ -122,7 +127,7 @@ impl Sampler {
         // 4. Exploration floor over the surviving candidates.
         if self.config.epsilon > 0.0 {
             let uniform = total / probs.len() as f64;
-            for p in &mut probs {
+            for p in probs.iter_mut() {
                 p.1 = (1.0 - self.config.epsilon) * p.1 + self.config.epsilon * uniform;
             }
             total = probs.iter().map(|(_, p)| p).sum();
@@ -130,7 +135,7 @@ impl Sampler {
 
         // 5. Draw.
         let mut u = self.rng.gen::<f64>() * total;
-        for &(id, p) in &probs {
+        for &(id, p) in probs.iter() {
             u -= p;
             if u <= 0.0 {
                 return id;
@@ -142,6 +147,21 @@ impl Sampler {
     /// The configuration this sampler was built with.
     pub fn config(&self) -> SamplerConfig {
         self.config
+    }
+}
+
+/// Stable insertion sort by probability, descending: the order `sort_by`
+/// with a descending `partial_cmp` gives, without its allocation.
+/// Candidate lists are at most vocabulary-sized.
+fn sort_descending(probs: &mut [(TokenId, f64)]) {
+    for i in 1..probs.len() {
+        let item = probs[i];
+        let mut j = i;
+        while j > 0 && probs[j - 1].1 < item.1 {
+            probs[j] = probs[j - 1];
+            j -= 1;
+        }
+        probs[j] = item;
     }
 }
 
