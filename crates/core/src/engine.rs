@@ -30,16 +30,13 @@ use mc_lm::sampler::{Sampler, SamplerConfig};
 use mc_lm::tokenizer::{CharTokenizer, Tokenizer};
 use mc_lm::vocab::{TokenId, Vocab};
 
-use mc_obs::{
-    point_span, EventKind, Fingerprint, NoopRecorder, Recorder, SpanGuard, SpanKind, TraceEvent,
-};
+use mc_obs::{Fingerprint, Recorder};
 
 use crate::codec::{Codec, FittedCodec};
 use crate::config::ForecastConfig;
 use crate::pipeline::{median_aggregate, ContinuationSpec};
 use crate::robust::{
-    resolve_quorum_failure, run_attempts_observed, ForecastReport, RobustRun, SampleSource,
-    TraceScope,
+    resolve_quorum_failure, run_attempts, ForecastReport, RobustRun, SampleSource,
 };
 
 /// Content fingerprint of a continuation spec — the trace key (`ctx`)
@@ -136,70 +133,19 @@ impl ForecastEngine {
     /// backend once, fork one decode session per (sample, attempt),
     /// validate/retry/quorum via [`crate::robust::run_attempts`].
     pub fn run_fitted(&self, fitted: &dyn FittedCodec, horizon: usize) -> Result<EngineRun> {
-        self.run_fitted_observed(fitted, horizon, &NoopRecorder, 0)
-    }
-
-    /// [`ForecastEngine::run_fitted`] with trace emission: `context_fit`
-    /// and `context_join` around the backend fit, per-attempt events via
-    /// the robust layer, and a `quorum_resolve` once sampling settles.
-    /// `req` is the request content fingerprint events are tagged with;
-    /// the context key is derived from the spec ([`spec_fingerprint`]).
-    /// Results are identical to the unobserved path.
-    ///
-    /// # Errors
-    /// Exactly as [`ForecastEngine::run_fitted`].
-    pub fn run_fitted_observed(
-        &self,
-        fitted: &dyn FittedCodec,
-        horizon: usize,
-        obs: &dyn Recorder,
-        req: u64,
-    ) -> Result<EngineRun> {
         let cfg = self.config;
         let spec = self.continuation_spec(fitted, horizon);
-        let ctx = spec_fingerprint(&spec);
-        let backend = {
-            // The `context_fit` span is keyed by the context fingerprint
-            // (its own root lane), mirroring the ctx-keyed fit event.
-            let _fit_span = SpanGuard::open(obs, ctx, SpanKind::ContextFit);
-            PreparedBackend::fit(&spec)?
-        };
-        if obs.enabled() {
-            let prompt = backend.prompt_cost();
-            obs.record(TraceEvent {
-                req: 0,
-                ctx,
-                kind: EventKind::ContextFit {
-                    prompt_tokens: prompt.prompt_tokens,
-                    work_units: prompt.work_units,
-                },
-            });
-            obs.record(TraceEvent { req, ctx, kind: EventKind::ContextJoin });
-        }
+        let backend = PreparedBackend::fit(&spec)?;
         let sampler = backend.sampler(spec.separators, spec.max_tokens);
-        let expect = fitted.expectations(horizon);
-        let run = run_attempts_observed(
+        let run = run_attempts(
             cfg.samples.max(1),
             cfg.robust,
             self.source,
-            &expect,
+            &fitted.expectations(horizon),
             |vi, budget| sampler.draw_budgeted(cfg.sampler_for(vi), budget),
             |text| fitted.decode(text, horizon),
-            TraceScope { obs, req, ctx },
         )?;
-        if obs.enabled() {
-            obs.record(TraceEvent {
-                req,
-                ctx,
-                kind: EventKind::QuorumResolve {
-                    valid: run.report.valid_samples as u32,
-                    required: cfg.robust.required_valid(cfg.samples.max(1)) as u32,
-                    met: run.quorum_met,
-                },
-            });
-            point_span(obs, req, SpanKind::Quorum);
-        }
-        Ok(EngineRun::new(run, self.config, backend.prompt_cost()))
+        Ok(EngineRun::new(run, cfg, backend.prompt_cost()))
     }
 
     /// The non-robust sibling of [`ForecastEngine::run`]: draws exactly
@@ -302,11 +248,15 @@ impl PreparedBackend {
     }
 
     /// Wraps this backend's frozen context in a [`MeteredLm`] recording
-    /// into `ledger` (see [`PreparedBackend::fit_metered_observed`]).
-    /// The current prompt cost lands in the ledger immediately, so
-    /// metering a warm cached context attributes exactly what metering
-    /// the equivalent fresh fit would — warm and cold serving produce
-    /// identical cost audits.
+    /// into `ledger`: the prompt cost lands in the ledger immediately, and
+    /// every session forked from this backend records its generated-token
+    /// cost when it completes, also emitting a `session_cost` trace event
+    /// tagged with the `ctx` context fingerprint (scheduler-scoped: it
+    /// feeds metrics and wall-clock exports, never the canonical trace).
+    /// Decoding is bit-identical to the unmetered backend. Metering a warm
+    /// cached context attributes exactly what metering the equivalent
+    /// fresh fit would — warm and cold serving produce identical cost
+    /// audits.
     pub fn meter_observed(
         mut self,
         ledger: Arc<CostLedger>,
@@ -325,32 +275,6 @@ impl PreparedBackend {
     /// re-meter it into its own ledger.
     pub fn frozen(&self) -> Arc<dyn FrozenLm> {
         Arc::clone(&self.frozen)
-    }
-
-    /// Like [`PreparedBackend::fit`], but wraps the frozen backend in a
-    /// [`MeteredLm`] recording into `ledger`: the prompt cost lands in the
-    /// ledger immediately, and every session forked from this backend
-    /// records its generated-token cost when it completes. Decoding is
-    /// bit-identical to the unmetered backend — the serving layer uses
-    /// this to audit its per-request cost attribution.
-    pub fn fit_metered(spec: &ContinuationSpec, ledger: Arc<CostLedger>) -> Result<Self> {
-        Self::fit_metered_observed(spec, ledger, Arc::new(NoopRecorder), 0)
-    }
-
-    /// Like [`PreparedBackend::fit_metered`], but completed sessions also
-    /// emit `session_cost` trace events tagged with the `ctx` context
-    /// fingerprint (scheduler-scoped: they feed metrics and wall-clock
-    /// exports, never the canonical trace).
-    ///
-    /// # Errors
-    /// Exactly as [`PreparedBackend::fit`].
-    pub fn fit_metered_observed(
-        spec: &ContinuationSpec,
-        ledger: Arc<CostLedger>,
-        recorder: Arc<dyn Recorder>,
-        ctx: u64,
-    ) -> Result<Self> {
-        Ok(Self::fit(spec)?.meter_observed(ledger, recorder, ctx))
     }
 
     /// The one-time prompt-conditioning cost (independent of how many

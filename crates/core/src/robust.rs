@@ -24,7 +24,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use mc_tslib::error::{invalid_param, Result, TsError};
+use mc_tslib::error::{invalid_param, pipeline_error, Result, TsError};
 use mc_tslib::forecast::{MultivariateForecaster, PerDimension};
 use mc_tslib::series::MultivariateSeries;
 
@@ -32,11 +32,12 @@ use mc_baselines::fallback::FallbackForecaster;
 use mc_lm::cost::InferenceCost;
 use mc_lm::sampler::SamplerConfig;
 use mc_obs::{
-    point_span, AttemptClass, Counter, EventKind, MetricsRegistry, NoopRecorder, Recorder,
-    SpanGuard, SpanKind, TraceEvent,
+    AttemptClass, Counter, EventKind, MetricsRegistry, NoopRecorder, Recorder, TraceEvent,
 };
+use mc_sync::Mutex;
 
 use crate::pipeline::{run_continuation, ContinuationSpec};
+use crate::sched::{drain, run_attempt, Ladder, Task, TaskQueue};
 
 /// One way a sampled continuation can be bad.
 #[derive(Debug, Clone, PartialEq)]
@@ -707,9 +708,9 @@ pub fn effective_budget(source: SampleSource, budget: Option<u64>) -> Option<u64
 /// check, deadline check, `draw`, deterministic corruption, text + decoded
 /// validation. Pure with respect to scheduling — the outcome depends only
 /// on the arguments, never on which thread runs it or what other samples
-/// are in flight, which is what makes round-based retries
-/// ([`run_attempts`]) and work-stealing schedulers ([`crate::serve`])
-/// bit-identical.
+/// are in flight, which is what makes the engine ladder
+/// ([`run_attempts`]) and the serve pool ([`crate::serve`]) bit-identical
+/// at any worker count.
 ///
 /// `budget` is the sample's remaining deadline slice in generated tokens
 /// (`None` = no deadline). A zero effective budget settles immediately
@@ -757,49 +758,8 @@ pub fn execute_attempt(
     }
 }
 
-/// [`execute_attempt`] wrapped in causal spans: an `attempt(sample, n)`
-/// span covers the whole unit and a nested `draw` span covers the
-/// backend decode inside it. Span ids are pure functions of the
-/// request fingerprint and coordinates, so the span multiset is
-/// schedule-invariant like the attempt events themselves. Both guards
-/// close via `Drop`, which runs during the `catch_unwind` unwind inside
-/// `execute_attempt` — a panicking draw still closes its spans. Results
-/// are identical to the unobserved path.
-pub fn execute_attempt_observed(
-    scope: TraceScope<'_>,
-    source: SampleSource,
-    (sample, attempt): (usize, usize),
-    expect: &SampleExpectations,
-    budget: Option<u64>,
-    draw: impl FnOnce(Option<u64>) -> Result<(String, InferenceCost)>,
-    decode: impl FnOnce(&str) -> Result<Vec<Vec<f64>>>,
-) -> AttemptOutcome {
-    let coords = (sample as u32, attempt as u32);
-    let _attempt_span = SpanGuard::open(
-        scope.obs,
-        scope.req,
-        SpanKind::Attempt { sample: coords.0, attempt: coords.1 },
-    );
-    execute_attempt(
-        source,
-        sample,
-        attempt,
-        expect,
-        budget,
-        move |effective| {
-            let _draw_span = SpanGuard::open(
-                scope.obs,
-                scope.req,
-                SpanKind::Draw { sample: coords.0, attempt: coords.1 },
-            );
-            draw(effective)
-        },
-        decode,
-    )
-}
-
 /// A recorder plus the request/context trace keys its events are tagged
-/// with — bundled so observed entry points stay at a sane arity.
+/// with — bundled so the executor's attempt step stays at a sane arity.
 #[derive(Clone, Copy)]
 pub struct TraceScope<'a> {
     /// Event sink (a disabled recorder makes every emission free).
@@ -820,10 +780,10 @@ impl TraceScope<'_> {
 /// Emits the trace events one attempt outcome implies: a `defect` event
 /// per observed defect, `panic_isolated` for caught panics, and the
 /// `attempt` event itself (carrying the attempt's cost; zero for panicked
-/// and infra attempts, which never completed a draw). Shared by the
-/// sequential ladder ([`run_attempts_observed`]) and the serve scheduler
-/// so both emit the same canonical trace for the same outcomes. No-op
-/// when `obs` is disabled.
+/// and infra attempts, which never completed a draw). Called from the
+/// executor's one attempt step, so the engine ladder and the serve pool
+/// emit the same canonical trace for the same outcomes. No-op when `obs`
+/// is disabled.
 pub fn record_attempt(
     obs: &dyn Recorder,
     req: u64,
@@ -919,12 +879,11 @@ pub enum AttemptDisposition {
 }
 
 /// Incremental bookkeeping of a robust run: one [`AttemptOutcome`] at a
-/// time, in any order, from any scheduler. [`run_attempts`] drives it
-/// round-by-round with scoped threads; [`crate::serve`] drives it from a
-/// shared worker pool interleaved with other requests. Because
-/// [`execute_attempt`] is scheduling-independent and this struct folds
-/// outcomes per-sample, both schedules produce identical final
-/// [`RobustRun`]s.
+/// time, in any order, from any worker. The executor in [`crate::sched`]
+/// drives it for a lone engine request ([`run_attempts`]) and for serve
+/// requests interleaved in one shared pool. Because [`execute_attempt`]
+/// is scheduling-independent and this struct folds outcomes per sample,
+/// every schedule produces the same final [`RobustRun`].
 #[derive(Debug)]
 pub struct RobustProgress {
     samples: usize,
@@ -1117,9 +1076,15 @@ where
 /// attempt. Virtual-index semantics are documented on
 /// [`run_samples_robust`].
 ///
+/// The samples run as one request on the executor in [`crate::sched`]:
+/// `samples` workers drain one first-attempt task per sample, and retries
+/// re-queue onto the same pool — the serve path's worker loop and attempt
+/// step, with tracing off.
+///
 /// # Errors
 /// On infrastructure failures surfaced by `draw` or `decode` — never
-/// because of a defective sample; those are retried and reported.
+/// because of a defective sample; those are retried and reported. When
+/// several samples fail that way, the first failure applied is reported.
 pub fn run_attempts<Draw, D>(
     samples: usize,
     policy: RobustPolicy,
@@ -1132,83 +1097,18 @@ where
     Draw: Fn(usize, Option<u64>) -> Result<(String, InferenceCost)> + Sync,
     D: Fn(&str) -> Result<Vec<Vec<f64>>> + Sync,
 {
-    run_attempts_observed(samples, policy, source, expect, draw, decode, TraceScope::disabled())
-}
-
-/// [`run_attempts`] with trace emission: every attempt goes through
-/// [`record_attempt`], and retries emit `retry` events. Semantics and
-/// results are identical to the unobserved path — the recorder only
-/// watches.
-///
-/// # Errors
-/// Exactly as [`run_attempts`].
-pub fn run_attempts_observed<Draw, D>(
-    samples: usize,
-    policy: RobustPolicy,
-    source: SampleSource,
-    expect: &SampleExpectations,
-    draw: Draw,
-    decode: D,
-    scope: TraceScope<'_>,
-) -> Result<RobustRun>
-where
-    Draw: Fn(usize, Option<u64>) -> Result<(String, InferenceCost)> + Sync,
-    D: Fn(&str) -> Result<Vec<Vec<f64>>> + Sync,
-{
-    let mut progress = RobustProgress::new(samples, policy)?;
-    let mut pending: Vec<(usize, usize)> = (0..samples).map(|i| (i, 0)).collect();
-
-    while !pending.is_empty() && !progress.failed() {
-        let budgets: Vec<Option<u64>> =
-            pending.iter().map(|&(i, _)| progress.remaining_budget(i)).collect();
-        let mut outcomes: Vec<Option<AttemptOutcome>> = Vec::new();
-        outcomes.resize_with(pending.len(), || None);
-        std::thread::scope(|s| {
-            for ((slot, &(i, attempt)), &budget) in outcomes.iter_mut().zip(&pending).zip(&budgets)
-            {
-                let draw = &draw;
-                let decode = &decode;
-                let expect = &*expect;
-                s.spawn(move || {
-                    let vi = virtual_index(samples, i, attempt);
-                    *slot = Some(execute_attempt_observed(
-                        scope,
-                        source,
-                        (i, attempt),
-                        expect,
-                        budget,
-                        |b| draw(vi, b),
-                        |text| decode(text),
-                    ));
-                });
-            }
-        });
-        let mut next = Vec::new();
-        for (outcome, (i, attempt)) in outcomes.into_iter().zip(pending) {
-            if progress.failed() {
-                break;
-            }
-            let outcome = outcome.expect("scoped thread filled its slot");
-            record_attempt(scope.obs, scope.req, scope.ctx, i, attempt, &outcome);
-            if let AttemptDisposition::Retry { attempt } = progress.apply(i, attempt, outcome) {
-                if scope.obs.enabled() {
-                    scope.obs.record(TraceEvent {
-                        req: scope.req,
-                        ctx: scope.ctx,
-                        kind: EventKind::Retry { sample: i as u32, attempt: attempt as u32 },
-                    });
-                    point_span(
-                        scope.obs,
-                        scope.req,
-                        SpanKind::Retry { sample: i as u32, attempt: attempt as u32 },
-                    );
-                }
-                next.push((i, attempt));
-            }
-        }
-        pending = next;
-    }
-    progress.finish()
+    let progress = Mutex::new(RobustProgress::new(samples, policy)?);
+    let first = (0..samples).map(|sample| Task { request: 0, sample, attempt: 0 }).collect();
+    let queue = TaskQueue::new(first, samples);
+    let ladder =
+        Ladder { progress: &progress, policy, source, expect, trace: TraceScope::disabled() };
+    drain(&queue, samples, &NoopRecorder, |task| {
+        run_attempt(&queue, task, &ladder, &draw, &decode, |_| {});
+    });
+    progress
+        .into_inner()
+        .map_err(|_| pipeline_error("sample-thread", "a worker panicked while folding an outcome"))?
+        .finish()
 }
 
 /// The graceful-degradation forecast: seasonal-naive (ACF-estimated

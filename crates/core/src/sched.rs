@@ -1,10 +1,18 @@
-//! The bounded work queue under the serve scheduler.
+//! The one executor under both the engine ladder and the serve pool.
 //!
-//! [`TaskQueue`] is the single synchronization object the worker pool in
-//! [`crate::serve`] coordinates through. It is generic and public for one
-//! reason: the `--cfg loom` model-checking suite (`tests/loom_serve.rs`)
-//! drives it directly, exhaustively exploring thread interleavings to
-//! prove the properties the serve layer relies on:
+//! Every robust sampling run — a single [`crate::engine::ForecastEngine`]
+//! forecast ([`crate::robust::run_attempts`]) or a whole serve flush — is
+//! a set of `(request, sample, attempt)` tasks drained by one worker loop
+//! (`drain`), and every task goes through the same attempt step
+//! (`run_attempt`): budget lookup, the panic-isolated draw, outcome
+//! recording, the fold into the request's [`RobustProgress`], and the
+//! settle-or-retry decision with its `retry`/`backoff` emission.
+//!
+//! [`TaskQueue`] is the single synchronization object the workers
+//! coordinate through. It is generic and public for one reason: the
+//! `--cfg loom` model-checking suite (`tests/loom_serve.rs`) drives it
+//! directly, exhaustively exploring thread interleavings to prove the
+//! properties the executor relies on:
 //!
 //! - **No lost wakeups** — a [`TaskQueue::push`] racing a sleeping
 //!   [`TaskQueue::next`] always wakes it; a retry pushed by the last
@@ -31,8 +39,15 @@
 
 use std::collections::VecDeque;
 
-use mc_obs::{mix, EventKind, Recorder, SpanEvent, SpanKind, TraceEvent};
+use mc_lm::cost::InferenceCost;
+use mc_obs::{mix, point_span, EventKind, Recorder, SpanEvent, SpanGuard, SpanKind, TraceEvent};
 use mc_sync::{Condvar, Mutex};
+use mc_tslib::error::Result;
+
+use crate::robust::{
+    execute_attempt, record_attempt, virtual_index, AttemptDisposition, AttemptOutcome,
+    RobustPolicy, RobustProgress, SampleExpectations, SampleSource, TraceScope,
+};
 
 /// A FIFO task queue with settlement-counted termination, an optional
 /// capacity bound, and deferred (backed-off) entries.
@@ -221,6 +236,106 @@ impl<T> TaskQueue<T> {
         }
         task
     }
+}
+
+/// One unit of executor work: attempt `attempt` of sample `sample` of
+/// request `request` (the engine ladder runs a single request, 0).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Task {
+    pub(crate) request: usize,
+    pub(crate) sample: usize,
+    pub(crate) attempt: usize,
+}
+
+/// What an attempt borrows from the request it belongs to.
+pub(crate) struct Ladder<'a> {
+    /// The request's outcome fold, locked only to read a budget and to
+    /// apply an outcome — never across a draw.
+    pub(crate) progress: &'a Mutex<RobustProgress>,
+    /// The policy `progress` was built with (for the backoff delay).
+    pub(crate) policy: RobustPolicy,
+    /// Real backend or fault-injected.
+    pub(crate) source: SampleSource,
+    /// What a valid continuation of this request looks like.
+    pub(crate) expect: &'a SampleExpectations,
+    /// Recorder and the request/context keys its events carry.
+    pub(crate) trace: TraceScope<'a>,
+}
+
+/// The executor's worker loop: drains `queue` over `workers` scoped
+/// threads (at least one), handing every task to `step`, and returns once
+/// every settlement unit has settled.
+pub(crate) fn drain<T: Send>(
+    queue: &TaskQueue<T>,
+    workers: usize,
+    obs: &dyn Recorder,
+    step: impl Fn(T) + Sync,
+) {
+    std::thread::scope(|scope| {
+        for _ in 0..workers.max(1) {
+            scope.spawn(|| {
+                while let Some(task) = queue.next_observed(obs) {
+                    step(task);
+                }
+            });
+        }
+    });
+}
+
+/// The executor's attempt step. Reads the sample's remaining budget, runs
+/// [`execute_attempt`] inside an `attempt(sample, n)` span with a nested
+/// `draw` span, records the outcome ([`record_attempt`]) and folds it into
+/// the request's progress. The sample then either settles, or emits
+/// `retry` (plus `backoff` when the policy delays it) and re-queues at
+/// [`RobustPolicy::backoff_delay`]. `on_outcome` sees every outcome before
+/// it is recorded — the serve pool's circuit-breaker hook.
+///
+/// Span ids are pure functions of the request fingerprint and
+/// coordinates, so the span multiset is schedule-invariant like the
+/// attempt events. Both span guards close on drop, which runs during the
+/// unwind inside `execute_attempt`: a panicking draw still closes them.
+pub(crate) fn run_attempt(
+    queue: &TaskQueue<Task>,
+    task: Task,
+    ladder: &Ladder<'_>,
+    draw: impl FnOnce(usize, Option<u64>) -> Result<(String, InferenceCost)>,
+    decode: impl FnOnce(&str) -> Result<Vec<Vec<f64>>>,
+    on_outcome: impl FnOnce(&AttemptOutcome),
+) {
+    let Task { sample, attempt, .. } = task;
+    let (budget, vi) = {
+        let progress = ladder.progress.lock().expect("request lock");
+        (progress.remaining_budget(sample), virtual_index(progress.samples(), sample, attempt))
+    };
+    let TraceScope { obs, req, ctx } = ladder.trace;
+    let (s, a) = (sample as u32, attempt as u32);
+    let outcome = {
+        let _attempt = SpanGuard::open(obs, req, SpanKind::Attempt { sample: s, attempt: a });
+        let traced_draw = |b| {
+            let _draw = SpanGuard::open(obs, req, SpanKind::Draw { sample: s, attempt: a });
+            draw(vi, b)
+        };
+        execute_attempt(ladder.source, sample, attempt, ladder.expect, budget, traced_draw, decode)
+    };
+    on_outcome(&outcome);
+    record_attempt(obs, req, ctx, sample, attempt, &outcome);
+    let disposition = ladder.progress.lock().expect("request lock").apply(sample, attempt, outcome);
+    let AttemptDisposition::Retry { attempt } = disposition else {
+        queue.settle_one();
+        return;
+    };
+    let delay = ladder.policy.backoff_delay(attempt);
+    if obs.enabled() {
+        let retry = attempt as u32;
+        obs.record(TraceEvent { req, ctx, kind: EventKind::Retry { sample: s, attempt: retry } });
+        point_span(obs, req, SpanKind::Retry { sample: s, attempt: retry });
+        if delay > 0 {
+            let kind = EventKind::Backoff { sample: s, attempt: retry, delay: delay as u32 };
+            obs.record(TraceEvent { req, ctx, kind });
+            point_span(obs, req, SpanKind::Backoff { sample: s, attempt: retry });
+        }
+    }
+    queue.push_deferred(Task { attempt, ..task }, delay);
 }
 
 #[cfg(test)]

@@ -27,13 +27,13 @@
 //!   [`fit_context`] seam — the `no-direct-fit` lint rule keeps it that
 //!   way.
 //! - **A bounded worker pool** fans `(request, sample, attempt)` tasks
-//!   across `workers` threads. Each task forks a throwaway session off the
-//!   request's context and runs the same
-//!   [`execute_attempt`](crate::robust::execute_attempt) the sequential
-//!   engine runs — outcomes depend only on the frozen state and the
-//!   sampler seed, never on scheduling, so forecasts are bit-identical to
-//!   [`crate::engine::ForecastEngine::run`] regardless of worker count or
-//!   submission order.
+//!   across `workers` threads on the executor in [`crate::sched`] — the
+//!   same worker loop and attempt step a lone
+//!   [`crate::engine::ForecastEngine::run`] uses. Each task forks a
+//!   throwaway session off the request's context; outcomes depend only on
+//!   the frozen state and the sampler seed, never on scheduling, so
+//!   forecasts are bit-identical to the engine regardless of worker count
+//!   or submission order.
 //! - **Per-request fault isolation** — every request folds outcomes into
 //!   its own [`RobustProgress`] and resolves through the engine's
 //!   median/quorum/fallback ladder. A panicking or defective sample in one
@@ -84,11 +84,10 @@ use crate::overload::{
 };
 use crate::pipeline::ContinuationSpec;
 use crate::robust::{
-    execute_attempt_observed, record_attempt, virtual_index, AttemptDisposition, AttemptOutcome,
-    FallbackPolicy, ForecastReport, RobustProgress, SampleDefect, SampleExpectations, SampleSource,
-    TraceScope,
+    AttemptOutcome, FallbackPolicy, ForecastReport, RobustProgress, SampleDefect,
+    SampleExpectations, SampleSource, TraceScope,
 };
-use crate::sched::TaskQueue;
+use crate::sched::{drain, run_attempt, Ladder, Task, TaskQueue};
 
 /// Which codec a request serializes through.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -475,13 +474,6 @@ fn admit(
     slots
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Task {
-    request: usize,
-    sample: usize,
-    attempt: usize,
-}
-
 /// What [`fit_context`] resolves a spec to: the metered backend, the
 /// context's trace fingerprint (epoch-qualified when the context was
 /// produced by incremental refit) and the `(family, fingerprint)` cache
@@ -502,7 +494,7 @@ fn fit_context(
 ) -> Result<FittedContext> {
     let ctx_fp = spec_fingerprint(spec);
     let Some(cache) = cache else {
-        let backend = PreparedBackend::fit_metered_observed(spec, ledger, obs.clone(), ctx_fp)?;
+        let backend = PreparedBackend::fit(spec)?.meter_observed(ledger, obs.clone(), ctx_fp);
         return Ok((backend, ctx_fp, None));
     };
     let family = spec_family(spec);
@@ -675,10 +667,10 @@ fn prepare(
     (states, contexts)
 }
 
-/// Executes one `(request, sample, attempt)` task and folds its outcome
-/// into the request's progress; pushes the retry task if the sample gets
-/// another attempt, otherwise settles it. Emits the attempt's trace
-/// events (defects, panic isolation, the attempt, any retry).
+/// Runs one `(request, sample, attempt)` task through the executor's
+/// attempt step ([`run_attempt`]), drawing from the request's shared
+/// frozen context; the preset's circuit breaker, when enabled, records
+/// every outcome.
 fn run_task(
     task: Task,
     states: &[Prepared],
@@ -690,68 +682,27 @@ fn run_task(
         queue.settle_one();
         return;
     };
-    let backend = &contexts[st.context].1.backend;
-    let sampler = backend.sampler(st.separators, st.max_tokens);
-    let vi = virtual_index(st.samples, task.sample, task.attempt);
-    let sampler_config = st.request.config.sampler_for(vi);
-    let budget = st.progress.lock().expect("request lock").remaining_budget(task.sample);
-    let scope = TraceScope { obs, req: st.fp, ctx: st.ctx_fp };
-    let outcome = execute_attempt_observed(
-        scope,
-        st.request.source,
-        (task.sample, task.attempt),
-        &st.expect,
-        budget,
-        |b| sampler.draw_budgeted(sampler_config, b),
+    let sampler = contexts[st.context].1.backend.sampler(st.separators, st.max_tokens);
+    let ladder = Ladder {
+        progress: &st.progress,
+        policy: st.request.config.robust,
+        source: st.request.source,
+        expect: &st.expect,
+        trace: TraceScope { obs, req: st.fp, ctx: st.ctx_fp },
+    };
+    run_attempt(
+        queue,
+        task,
+        &ladder,
+        |vi, budget| sampler.draw_budgeted(st.request.config.sampler_for(vi), budget),
         |text| st.fitted.decode(text, st.request.horizon),
+        |outcome| {
+            if let Some(breaker) = &st.breaker {
+                breaker.record(matches!(outcome, AttemptOutcome::Done { defects, .. }
+                    if !defects.iter().any(SampleDefect::is_fatal)));
+            }
+        },
     );
-    if let Some(breaker) = &st.breaker {
-        let success = matches!(&outcome, AttemptOutcome::Done { defects, .. }
-            if !defects.iter().any(SampleDefect::is_fatal));
-        breaker.record(success);
-    }
-    record_attempt(obs, st.fp, st.ctx_fp, task.sample, task.attempt, &outcome);
-    let disposition =
-        st.progress.lock().expect("request lock").apply(task.sample, task.attempt, outcome);
-    match disposition {
-        AttemptDisposition::Retry { attempt } => {
-            if obs.enabled() {
-                obs.record(TraceEvent {
-                    req: st.fp,
-                    ctx: st.ctx_fp,
-                    kind: EventKind::Retry { sample: task.sample as u32, attempt: attempt as u32 },
-                });
-                point_span(
-                    obs,
-                    st.fp,
-                    SpanKind::Retry { sample: task.sample as u32, attempt: attempt as u32 },
-                );
-            }
-            let delay = st.request.config.robust.backoff_delay(attempt);
-            if delay > 0 {
-                if obs.enabled() {
-                    obs.record(TraceEvent {
-                        req: st.fp,
-                        ctx: st.ctx_fp,
-                        kind: EventKind::Backoff {
-                            sample: task.sample as u32,
-                            attempt: attempt as u32,
-                            delay: delay as u32,
-                        },
-                    });
-                    point_span(
-                        obs,
-                        st.fp,
-                        SpanKind::Backoff { sample: task.sample as u32, attempt: attempt as u32 },
-                    );
-                }
-                queue.push_deferred(Task { attempt, ..task }, delay);
-            } else {
-                queue.push(Task { attempt, ..task });
-            }
-        }
-        AttemptDisposition::Settled => queue.settle_one(),
-    }
 }
 
 fn run_batch(
@@ -778,19 +729,9 @@ fn run_batch(
 
     if outstanding > 0 {
         let queue = TaskQueue::new(initial, outstanding);
-        let workers = config.workers.max(1);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let queue = &queue;
-                let states = &states[..];
-                let contexts = &contexts[..];
-                let obs = obs.as_ref();
-                scope.spawn(move || {
-                    while let Some(task) = queue.next_observed(obs) {
-                        run_task(task, states, contexts, queue, obs);
-                    }
-                });
-            }
+        let obs = obs.as_ref();
+        drain(&queue, config.workers, obs, |task| {
+            run_task(task, &states, &contexts, &queue, obs);
         });
     }
 

@@ -1,5 +1,6 @@
-//! Bounded-exhaustive model checking of the serve scheduler's
-//! concurrency core.
+//! Bounded-exhaustive model checking of the executor's concurrency core
+//! (the one worker pool under both the serve scheduler and the engine
+//! ladder).
 //!
 //! Runs only under `--cfg loom` (the dedicated CI job):
 //!
@@ -11,8 +12,8 @@
 //! primitives, so the *production* [`TaskQueue`] and [`CostLedger`] —
 //! not copies — are explored across every thread interleaving the
 //! preemption bound admits (`LOOM_MAX_PREEMPTIONS`, default 2). The
-//! properties proved here are exactly the ones `crate::serve::run_batch`
-//! relies on; see DESIGN.md §8.
+//! properties proved here are exactly the ones `crate::sched::drain` and
+//! its attempt step rely on; see DESIGN.md §8.
 #![cfg(loom)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -71,7 +72,7 @@ fn retry_pushed_while_peer_sleeps_is_not_lost() {
                     while let Some(task) = queue.next() {
                         if task == 0 {
                             // First attempt fails validation: re-queue the
-                            // retry instead of settling, as run_task does.
+                            // retry instead of settling, as the attempt step does.
                             queue.push(1);
                         } else {
                             done += 1;
@@ -85,6 +86,41 @@ fn retry_pushed_while_peer_sleeps_is_not_lost() {
         let done: usize = workers.into_iter().map(|w| w.join().expect("worker")).sum();
         assert_eq!(done, 1, "the retried sample settles exactly once");
     });
+}
+
+/// Backoff cannot strand the pool: the last running worker defers its
+/// retry far into the logical future while its peer sleeps in `next`.
+/// With nothing else queued, the fast-forward rule must release the
+/// retry at once; it runs exactly once and both workers terminate. The
+/// engine ladder and the serve pool both defer backed-off retries this
+/// way.
+#[test]
+fn deferred_retry_from_the_last_worker_is_fast_forwarded() {
+    let stats = explore(|| {
+        let queue = Arc::new(TaskQueue::new(vec![0usize], 1));
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let queue = Arc::clone(&queue);
+                thread::spawn(move || {
+                    let mut done = 0usize;
+                    while let Some(task) = queue.next() {
+                        if task == 0 {
+                            // A delay no amount of other work could reach.
+                            queue.push_deferred(1, 1_000_000);
+                        } else {
+                            done += 1;
+                            queue.settle_one();
+                        }
+                    }
+                    done
+                })
+            })
+            .collect();
+        let done: usize = workers.into_iter().map(|w| w.join().expect("worker")).sum();
+        assert_eq!(done, 1, "the deferred retry runs exactly once");
+        assert_eq!(queue.next(), None, "termination observable after the drain");
+    });
+    assert!(stats.iterations > 1, "expected schedule exploration, got {stats:?}");
 }
 
 /// Pool exhaustion: more admitted work than workers still drains — a
@@ -289,7 +325,7 @@ fn cost_ledger_conserves_attribution_across_interleavings() {
             .map(|cost| {
                 let ledger = Arc::clone(&ledger);
                 thread::spawn(move || {
-                    // What run_task attributes to the request...
+                    // What the attempt step attributes to the request...
                     ledger.record(cost);
                     // ...is exactly what the model boundary metered.
                     cost

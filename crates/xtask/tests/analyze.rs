@@ -56,12 +56,10 @@ fn lock_pass_covers_every_acquisition_site_in_serve_land() {
     let report = locks::check(&ws);
     assert!(report.findings.is_empty(), "{:?}", report.findings);
 
-    let serve_land = [
-        "crates/core/src/serve.rs",
-        "crates/core/src/sched.rs",
-        "crates/core/src/overload.rs",
-        "crates/lm/src/cache.rs",
-    ];
+    // serve.rs takes no lock of its own: request progress is locked by the
+    // executor's attempt step in sched.rs.
+    let serve_land =
+        ["crates/core/src/sched.rs", "crates/core/src/overload.rs", "crates/lm/src/cache.rs"];
     let mut covered = 0;
     for path in serve_land {
         let file = ws.file(path).unwrap_or_else(|| panic!("{path} missing"));

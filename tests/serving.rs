@@ -13,6 +13,7 @@
 use std::sync::Arc;
 
 use mc_datasets::generators::sinusoids;
+use mc_lm::cost::InferenceCost;
 use mc_obs::{Counter, Observer};
 use mc_sax::alphabet::{SaxAlphabet, SaxAlphabetKind};
 use mc_sax::encoder::SaxConfig;
@@ -23,7 +24,7 @@ use multicast_core::robust::{DefectClass, FaultSpec, RobustPolicy, SampleSource}
 use multicast_core::serve::ServeHandle;
 use multicast_core::{
     serve_all, serve_all_observed, CodecChoice, ForecastConfig, ForecastRequest,
-    MultiCastForecaster, MuxMethod, Priority, RequestId, ServeConfig, ServeRun,
+    MultiCastForecaster, MuxMethod, Priority, RequestId, ServeConfig, ServeOutcome, ServeRun,
 };
 
 fn series(n: usize, phase: f64, offset: f64) -> MultivariateSeries {
@@ -71,22 +72,70 @@ fn digit_request(
     ForecastRequest::digit(train, horizon, method, config)
 }
 
+/// A request that drives every branch of the retry ladder: an injected
+/// panic on sample 0, corrupted continuations that retry under backoff,
+/// and a token deadline tight enough that some retries expire. It gets a
+/// history of its own, so it always owns (and pays for) its context.
+fn faulted_request() -> ForecastRequest {
+    let mut request = digit_request(series(80, 0.7, 12.0), 6, MuxMethod::ValueInterleave, 77, 5);
+    request.config.robust = RobustPolicy {
+        max_retries: 3,
+        backoff_base: 2,
+        // 60 tokens per sample: a first attempt fits, a retry after a
+        // corrupted draw runs dry.
+        deadline_tokens: Some(300),
+        ..RobustPolicy::default()
+    };
+    request.source = SampleSource::FaultInjected(FaultSpec {
+        rate: 0.5,
+        seed: 11,
+        panic_sample: Some(0),
+        latency_tokens: 0,
+    });
+    request
+}
+
+/// A served request's cost as the engine reports it: a request that joined
+/// a context another request owns is not charged the prompt pass, so add it
+/// back before comparing.
+fn engine_equivalent_cost(run: &ServeRun, outcome: &ServeOutcome) -> InferenceCost {
+    let mut cost = outcome.cost;
+    if cost.prompt_tokens == 0 {
+        cost.absorb(run.contexts[outcome.context.unwrap()].prompt_cost);
+    }
+    cost
+}
+
 /// Satellite: a fixed-seed request is bit-identical whether run alone
 /// (through the sequential engine), through `serve_all` with 1 worker, or
-/// through `serve_all` with 8 workers under a shuffled submission order.
+/// through `serve_all` with 8 workers under a shuffled submission order —
+/// both for a clean request and for one that exercises panics, retries,
+/// backoff and deadline expiry.
 #[test]
 fn fixed_seed_request_is_bit_identical_across_schedulers() {
     let train = series(72, 0.0, 10.0);
-    let target = digit_request(train.clone(), 6, MuxMethod::ValueInterleave, 42, 4);
+    let targets =
+        [digit_request(train.clone(), 6, MuxMethod::ValueInterleave, 42, 4), faulted_request()];
 
-    // Reference: the sequential engine path (MultiCastForecaster).
-    let mut solo = MultiCastForecaster::new(MuxMethod::ValueInterleave, target.config);
-    let reference = solo.forecast(&train, 6).unwrap();
-    let reference_report = solo.last_report.unwrap();
+    // Reference: the engine path (MultiCastForecaster).
+    let references: Vec<_> = targets
+        .iter()
+        .map(|target| {
+            let mut solo = MultiCastForecaster::new(MuxMethod::ValueInterleave, target.config)
+                .with_source(target.source);
+            let forecast = solo.forecast(&target.train, target.horizon).unwrap();
+            (forecast, solo.last_report.unwrap(), solo.last_cost.unwrap())
+        })
+        .collect();
+    let faulted = &references[1].1;
+    assert_eq!(faulted.defect_count(DefectClass::Panicked), 1, "{}", faulted.summary());
+    assert!(faulted.defect_count(DefectClass::DeadlineExpired) > 0, "{}", faulted.summary());
+    assert!(faulted.samples.iter().any(|s| s.attempts > 2), "{}", faulted.summary());
+    assert!(faulted.valid_samples > 0, "{}", faulted.summary());
 
     // A batch with neighbors competing for the worker pool — some sharing
-    // the target's frozen context (same train/codec), some not.
-    let mut requests = vec![target.clone()];
+    // the clean target's frozen context (same train/codec), some not.
+    let mut requests = targets.to_vec();
     for (i, horizon) in [3usize, 9, 5, 7].iter().enumerate() {
         requests.push(digit_request(
             train.clone(),
@@ -104,34 +153,23 @@ fn fixed_seed_request_is_bit_identical_across_schedulers() {
         ));
     }
 
-    let single = serve_all(&requests, &ServeConfig::with_workers(1));
-    let outcome = &single.outcomes[0];
-    assert_bit_identical(&reference, outcome.forecast.as_ref().unwrap(), "1 worker");
-    assert_eq!(outcome.report.as_ref().unwrap(), &reference_report, "1 worker report");
-
+    let check = |run: &ServeRun, order: &[ForecastRequest], tag: &str| {
+        for (target, (forecast, report, cost)) in targets.iter().zip(&references) {
+            let fp = target.content_fingerprint();
+            let position = order.iter().position(|r| r.content_fingerprint() == fp).unwrap();
+            let outcome = &run.outcomes[position];
+            let tag = format!("{tag}, seed {}", target.config.seed);
+            assert_eq!(outcome.id, RequestId(position), "{tag}");
+            assert_bit_identical(forecast, outcome.forecast.as_ref().unwrap(), &tag);
+            assert_eq!(outcome.report.as_ref().unwrap(), report, "{tag}: report");
+            assert_eq!(engine_equivalent_cost(run, outcome), *cost, "{tag}: cost");
+        }
+    };
+    check(&serve_all(&requests, &ServeConfig::with_workers(1)), &requests, "1 worker");
     for shuffle_seed in [1u64, 7, 31] {
         let order = shuffled(&requests, shuffle_seed);
-        let position = order
-            .iter()
-            .position(|r| {
-                r.horizon == target.horizon
-                    && r.config.seed == target.config.seed
-                    && r.config.samples == target.config.samples
-            })
-            .unwrap();
         let wide = serve_all(&order, &ServeConfig::with_workers(8));
-        let outcome = &wide.outcomes[position];
-        assert_eq!(outcome.id, RequestId(position));
-        assert_bit_identical(
-            &reference,
-            outcome.forecast.as_ref().unwrap(),
-            &format!("8 workers, shuffle {shuffle_seed}"),
-        );
-        assert_eq!(
-            outcome.report.as_ref().unwrap(),
-            &reference_report,
-            "8 workers, shuffle {shuffle_seed}: report"
-        );
+        check(&wide, &order, &format!("8 workers, shuffle {shuffle_seed}"));
     }
 }
 
