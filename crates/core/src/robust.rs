@@ -103,69 +103,9 @@ pub enum SampleDefect {
     },
 }
 
-/// Defect kind without payload, for counting and reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DefectClass {
-    /// See [`SampleDefect::Truncated`].
-    Truncated,
-    /// See [`SampleDefect::WrongGroupWidth`].
-    WrongGroupWidth,
-    /// See [`SampleDefect::NonNumericGroup`].
-    NonNumericGroup,
-    /// See [`SampleDefect::OutOfBandCode`].
-    OutOfBandCode,
-    /// See [`SampleDefect::NonFinite`].
-    NonFinite,
-    /// See [`SampleDefect::ShapeMismatch`].
-    ShapeMismatch,
-    /// See [`SampleDefect::Panicked`].
-    Panicked,
-    /// See [`SampleDefect::DeadlineExpired`].
-    DeadlineExpired,
-}
-
-impl DefectClass {
-    /// All classes, in taxonomy order.
-    pub const ALL: [DefectClass; 8] = [
-        DefectClass::Truncated,
-        DefectClass::WrongGroupWidth,
-        DefectClass::NonNumericGroup,
-        DefectClass::OutOfBandCode,
-        DefectClass::NonFinite,
-        DefectClass::ShapeMismatch,
-        DefectClass::Panicked,
-        DefectClass::DeadlineExpired,
-    ];
-
-    /// Short stable name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            DefectClass::Truncated => "truncated",
-            DefectClass::WrongGroupWidth => "wrong-width",
-            DefectClass::NonNumericGroup => "non-numeric",
-            DefectClass::OutOfBandCode => "out-of-band",
-            DefectClass::NonFinite => "non-finite",
-            DefectClass::ShapeMismatch => "shape",
-            DefectClass::Panicked => "panic",
-            DefectClass::DeadlineExpired => "deadline",
-        }
-    }
-
-    /// Position in [`DefectClass::ALL`] — the class's slot in
-    /// `mc-obs`'s defect counters and `Defect` trace events.
-    pub fn index(self) -> usize {
-        match self {
-            DefectClass::Truncated => 0,
-            DefectClass::WrongGroupWidth => 1,
-            DefectClass::NonNumericGroup => 2,
-            DefectClass::OutOfBandCode => 3,
-            DefectClass::NonFinite => 4,
-            DefectClass::ShapeMismatch => 5,
-            DefectClass::Panicked => 6,
-            DefectClass::DeadlineExpired => 7,
-        }
-    }
-}
+/// [`SampleDefect::class`] maps each defect onto this taxonomy, which
+/// `mc-obs` defines so its metrics can keep one counter slot per class.
+pub use mc_obs::DefectClass;
 
 impl SampleDefect {
     /// The payload-free kind of this defect.
@@ -602,7 +542,7 @@ impl ForecastReport {
         for record in &self.samples {
             for defect in &record.defects {
                 metrics.incr(Counter::Defects);
-                metrics.add_defect(defect.class().index());
+                metrics.add_defect(defect.class());
             }
         }
         metrics.add(Counter::Retries, self.retries_used as u64);
@@ -805,7 +745,7 @@ pub fn record_attempt(
                     kind: EventKind::Defect {
                         sample,
                         attempt,
-                        class: defect.class().index() as u8,
+                        class: defect.class(),
                         fatal: defect.is_fatal(),
                     },
                 });
@@ -845,7 +785,7 @@ pub fn record_attempt(
                 kind: EventKind::Defect {
                     sample,
                     attempt,
-                    class: DefectClass::Panicked.index() as u8,
+                    class: DefectClass::Panicked,
                     fatal: true,
                 },
             });

@@ -32,8 +32,9 @@ impl FixedDigitScaler {
     /// (0.15 is the library default, see [`crate::config::ForecastConfig`]).
     ///
     /// # Errors
-    /// If `digits` is 0 or > 9, any column is empty, or contains
-    /// non-finite values.
+    /// If `digits` is 0 or > 9, any column is empty, contains non-finite
+    /// values, or spans a range whose headroom-widened bounds overflow
+    /// `f64`.
     pub fn fit(columns: &[Vec<f64>], digits: u32, headroom: f64) -> Result<Self> {
         if digits == 0 || digits > 9 {
             return Err(invalid_param("digits", format!("{digits} not in 1..=9")));
@@ -59,8 +60,18 @@ impl FixedDigitScaler {
                 mx = mx.max(v);
             }
             let range = (mx - mn).max(1e-9);
-            lo.push(mn - headroom * range);
-            hi.push(mx + headroom * range);
+            let (l, h) = (mn - headroom * range, mx + headroom * range);
+            // Every code maps through `hi - lo`; a non-finite span (which
+            // includes infinite or NaN bounds) would scale everything to 0
+            // and descale everything to NaN.
+            if !(h - l).is_finite() {
+                return Err(invalid_param(
+                    "values",
+                    format!("range [{mn}, {mx}] with headroom {headroom} overflows f64"),
+                ));
+            }
+            lo.push(l);
+            hi.push(h);
         }
         Ok(Self { digits, lo, hi })
     }
@@ -207,6 +218,20 @@ mod tests {
         assert!(FixedDigitScaler::fit(&[], 3, 0.1).is_err());
         assert!(FixedDigitScaler::fit(&[vec![]], 3, 0.1).is_err());
         assert!(FixedDigitScaler::fit(&[vec![f64::NAN]], 3, 0.1).is_err());
+    }
+
+    #[test]
+    fn huge_ranges_that_overflow_after_headroom_are_rejected() {
+        for headroom in [0.0, 0.15] {
+            let err = FixedDigitScaler::fit(&[vec![-1e308, 1e308]], 3, headroom).unwrap_err();
+            assert!(err.to_string().contains("overflows f64"), "{err}");
+        }
+        // Finite bounds whose span still overflows are rejected too.
+        assert!(FixedDigitScaler::fit(&[vec![-0.8e308, 0.8e308]], 3, 0.15).is_err());
+        // Huge but representable ranges still fit and round-trip.
+        let s = FixedDigitScaler::fit(&[vec![-1e307, 1e307]], 3, 0.15).unwrap();
+        let back = s.descale_value(0, s.scale_value(0, 1e307).unwrap()).unwrap();
+        assert!(back.is_finite() && (back - 1e307).abs() <= s.step(0).unwrap());
     }
 
     #[test]

@@ -18,8 +18,8 @@ use mc_loom::sync::Arc;
 use mc_loom::{explore, model, thread};
 
 use mc_obs::{
-    pair_spans, Clock, Counter, EventKind, LogicalClock, MetricsRegistry, Observer, Recorder,
-    SpanGuard, SpanKind, TraceEvent,
+    pair_spans, Clock, Counter, DefectClass, EventKind, LogicalClock, MetricsRegistry, Observer,
+    Recorder, SpanGuard, SpanKind, TraceEvent,
 };
 
 /// Racing `fetch_add`s on the registry's counters, defect slots and a
@@ -34,7 +34,7 @@ fn metrics_registry_loses_no_increments() {
                 thread::spawn(move || {
                     reg.incr(Counter::Attempts);
                     reg.add(Counter::GeneratedTokens, 3 + i);
-                    reg.add_defect(i as usize);
+                    reg.add_defect(DefectClass::ALL[i as usize]);
                     reg.attempt_tokens().observe(5);
                 })
             })
@@ -44,8 +44,8 @@ fn metrics_registry_loses_no_increments() {
         }
         assert_eq!(reg.get(Counter::Attempts), 2, "no lost attempt increments");
         assert_eq!(reg.get(Counter::GeneratedTokens), 7, "no lost token adds");
-        assert_eq!(reg.defect_count(0), 1);
-        assert_eq!(reg.defect_count(1), 1);
+        assert_eq!(reg.defect_count(DefectClass::Truncated), 1);
+        assert_eq!(reg.defect_count(DefectClass::WrongGroupWidth), 1);
         assert_eq!(reg.attempt_tokens().count(), 2);
         assert_eq!(reg.attempt_tokens().sum(), 10);
     });

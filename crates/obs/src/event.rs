@@ -24,26 +24,38 @@
 //!   outcomes on which flush ran first against a shared handle). They
 //!   feed the metrics registry and the wall-clock (emission-order)
 //!   export only.
+//!
+//! The module also owns [`DefectClass`], the sample-defect taxonomy:
+//! `defect` events carry it, the metrics registry counts it per class,
+//! and `multicast-core` re-exports it for its defect reports.
 
-/// Number of sample-defect classes in `multicast-core`'s taxonomy.
-pub const DEFECT_CLASSES: usize = 8;
-
-/// Stable names of the defect classes, in taxonomy order.
-///
-/// This mirrors `multicast-core`'s `DefectClass::ALL` (`mc-obs` cannot
-/// depend on the core crate — the dependency points the other way); a
-/// test in the core crate pins the two lists together so they cannot
-/// drift.
-pub const DEFECT_CLASS_NAMES: [&str; DEFECT_CLASSES] = [
-    "truncated",
-    "wrong-width",
-    "non-numeric",
-    "out-of-band",
-    "non-finite",
-    "shape",
-    "panic",
-    "deadline",
-];
+taxonomy! {
+    /// Payload-free kind of a sample defect, for counting and reporting.
+    ///
+    /// `multicast-core` classifies each decoded continuation's defects
+    /// into these classes and re-exports the type; the metrics registry
+    /// keeps one counter slot per class ([`DefectClass::index`]).
+    pub enum DefectClass {
+        /// Generation stopped before emitting every separator.
+        Truncated => "truncated",
+        /// A group's character count differs from the serialization width
+        /// (repaired in place by the lenient demultiplexer).
+        WrongGroupWidth => "wrong-width",
+        /// A group of a digit-serialized stream contains non-digit
+        /// characters.
+        NonNumericGroup => "non-numeric",
+        /// A symbol outside the permitted output alphabet (SAX streams).
+        OutOfBandCode => "out-of-band",
+        /// A decoded value is NaN or infinite after descaling.
+        NonFinite => "non-finite",
+        /// The decoded sample does not have the `dims x horizon` shape.
+        ShapeMismatch => "shape",
+        /// The sample's draw or decode panicked and was isolated.
+        Panicked => "panic",
+        /// The sample's deadline budget ran out before a draw could start.
+        DeadlineExpired => "deadline",
+    }
+}
 
 /// How one `(sample, attempt)` draw ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,8 +142,8 @@ pub enum EventKind {
         sample: u32,
         /// Attempt number.
         attempt: u32,
-        /// Index into [`DEFECT_CLASS_NAMES`].
-        class: u8,
+        /// The defect's class (exported as [`DefectClass::index`]).
+        class: DefectClass,
         /// Whether the defect invalidates the sample.
         fatal: bool,
     },
@@ -253,25 +265,13 @@ impl EventKind {
     /// Deterministic events form the canonical trace; the rest feed
     /// metrics and wall-clock exports only.
     pub fn deterministic(&self) -> bool {
-        !matches!(
-            self,
-            EventKind::QueueWait { .. }
-                | EventKind::FitDedupHit
-                | EventKind::SessionCost { .. }
-                | EventKind::QueueFull
-                | EventKind::BreakerTrip { .. }
-                | EventKind::BreakerClose { .. }
-                | EventKind::BreakerReject
-                | EventKind::CacheHit
-                | EventKind::CacheMiss
-                | EventKind::CacheRefit { .. }
-                | EventKind::CacheEvict { .. }
-        )
+        self.rank() != u8::MAX
     }
 
     /// Ordering rank used by the canonical export so a request's events
     /// read in pipeline order: admission, fit, join, then per-sample
-    /// attempts.
+    /// attempts. Scheduler-scoped kinds rank `u8::MAX`, which is what
+    /// [`EventKind::deterministic`] reads.
     pub fn rank(&self) -> u8 {
         match self {
             EventKind::QuotaExhausted { .. } => 0,

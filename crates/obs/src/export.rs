@@ -14,6 +14,13 @@
 //! - **Emission order** ([`ClockMode::Wall`]) — every event, in the
 //!   order the buffer received them, with real elapsed-nanosecond
 //!   timestamps. For humans profiling a live run.
+//!
+//! `body` and `span_body` are exhaustive matches over [`EventKind`] and
+//! [`SpanKind`](crate::span::SpanKind), and clippy's wildcard lints are
+//! denied in this file, so a new kind fails the build until it has an
+//! export arm.
+
+#![deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
 
 use std::fmt::Write;
 
@@ -89,7 +96,8 @@ fn body(event: &TraceEvent) -> String {
         EventKind::Defect { sample, attempt, class, fatal } => {
             let _ = write!(
                 s,
-                ",\"sample\":{sample},\"attempt\":{attempt},\"class\":{class},\"fatal\":{fatal}"
+                ",\"sample\":{sample},\"attempt\":{attempt},\"class\":{},\"fatal\":{fatal}",
+                class.index()
             );
         }
         EventKind::PanicIsolated { sample, attempt } => {
@@ -170,8 +178,6 @@ fn emission_order_spans(spans: &[StampedSpan]) -> String {
 }
 
 /// The span's JSON fields after the stamps (no surrounding braces).
-/// One arm per [`SpanKind`](crate::span::SpanKind) — the `span-drift`
-/// analyzer pass holds this exhaustive against the enum.
 fn span_body(span: &SpanEvent) -> String {
     use crate::span::SpanKind;
     let mut s = String::with_capacity(128);
@@ -206,7 +212,7 @@ fn span_body(span: &SpanEvent) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::AttemptClass;
+    use crate::event::{AttemptClass, DefectClass};
 
     fn stamped(t: u64, req: u64, kind: EventKind) -> Stamped {
         Stamped { t, event: TraceEvent { req, ctx: 7, kind } }
@@ -285,7 +291,7 @@ mod tests {
                 work_units: 7,
             },
             EventKind::Retry { sample: 1, attempt: 2 },
-            EventKind::Defect { sample: 1, attempt: 2, class: 4, fatal: true },
+            EventKind::Defect { sample: 1, attempt: 2, class: DefectClass::NonFinite, fatal: true },
             EventKind::PanicIsolated { sample: 1, attempt: 2 },
             EventKind::QuorumResolve { valid: 1, required: 2, met: false },
             EventKind::Fallback,
@@ -309,7 +315,12 @@ mod tests {
         let defect = body(&TraceEvent {
             req: 0,
             ctx: 0,
-            kind: EventKind::Defect { sample: 1, attempt: 2, class: 4, fatal: true },
+            kind: EventKind::Defect {
+                sample: 1,
+                attempt: 2,
+                class: DefectClass::NonFinite,
+                fatal: true,
+            },
         });
         assert!(defect.contains("\"class\":4,\"fatal\":true"), "{defect}");
     }

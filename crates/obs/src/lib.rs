@@ -22,6 +22,9 @@
 //! - **[`MetricsRegistry`](metrics::MetricsRegistry)** — atomic counters
 //!   and fixed-bucket histograms, routed through [`mc_sync`]'s atomics so
 //!   the registry is loom-checkable exactly like `mc-lm`'s `CostLedger`.
+//!   Its counter and defect-class slots come from [`Counter`] and
+//!   [`DefectClass`], each one `taxonomy!` table defined in this crate
+//!   (`multicast-core` re-exports `DefectClass`).
 //! - **[`Recorder`](record::Recorder) / [`Observer`](record::Observer)**
 //!   — the sink. [`NoopRecorder`](record::NoopRecorder) is the default
 //!   and keeps the hot path free of buffering; [`Observer`] stamps every
@@ -57,6 +60,46 @@
 //! trees and attribute end-to-end latency to stages;
 //! [`span::chrome_trace`] renders Perfetto-loadable JSON.
 
+/// Declares a field-less taxonomy enum from one `Variant => "name"` table.
+///
+/// Each row is a variant with its doc comment and its stable export name.
+/// The macro generates the enum, `ALL` (every variant in table order; its
+/// length is counted from the rows), `name()` and `index()` (the variant's
+/// position in `ALL`, which is its slot in per-class metric arrays and the
+/// integer the trace export writes). The table is the only place a variant
+/// and its name are written.
+macro_rules! taxonomy {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $( $(#[$vmeta:meta])* $variant:ident => $text:literal, )+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum $name {
+            $( $(#[$vmeta])* $variant, )+
+        }
+
+        impl $name {
+            /// Every variant, in table order.
+            pub const ALL: [$name; [$(stringify!($variant)),+].len()] = [$($name::$variant),+];
+
+            /// Stable name for exports, snapshots and reports.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $( $name::$variant => $text, )+
+                }
+            }
+
+            /// Position in [`Self::ALL`].
+            pub fn index(self) -> usize {
+                self as usize
+            }
+        }
+    };
+}
+
 pub mod clock;
 pub mod event;
 pub mod export;
@@ -66,7 +109,7 @@ pub mod record;
 pub mod span;
 
 pub use clock::{Clock, LogicalClock, WallClock};
-pub use event::{AttemptClass, EventKind, TraceEvent, DEFECT_CLASSES, DEFECT_CLASS_NAMES};
+pub use event::{AttemptClass, DefectClass, EventKind, TraceEvent};
 pub use fingerprint::{mix, Fingerprint};
 pub use metrics::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use record::{ClockMode, NoopRecorder, Observer, Recorder, Stamped};

@@ -10,167 +10,92 @@
 //! Counters are a closed set ([`Counter`]) rather than string-keyed: the
 //! registry never allocates, updates are single `fetch_add`s, and the
 //! defect taxonomy gets one fixed slot per class
-//! ([`crate::event::DEFECT_CLASSES`]).
+//! ([`DefectClass::index`]).
+//!
+//! [`MetricsRegistry::record_event`] is an exhaustive match over
+//! [`EventKind`], and clippy's wildcard lints are denied in this file, so
+//! a new event kind fails the build until it is routed here.
+
+#![deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
 
 use mc_sync::atomic::{AtomicU64, Ordering};
 
-use crate::event::{AttemptClass, EventKind, TraceEvent, DEFECT_CLASSES, DEFECT_CLASS_NAMES};
+use crate::event::{AttemptClass, DefectClass, EventKind, TraceEvent};
 use crate::span::{SpanEvent, SpanKind, SpanPhase, SPAN_KINDS};
 
-/// Every counter the registry tracks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Counter {
-    /// Events recorded (any kind).
-    Events,
-    /// Task dequeues observed by the worker pool.
-    QueueWaits,
-    /// Requests that reused an already-fitted frozen context.
-    DedupHits,
-    /// Decode sessions that completed inside the model boundary.
-    Sessions,
-    /// Tokens generated across completed sessions (metered ground truth).
-    SessionTokens,
-    /// Work units across completed sessions (metered ground truth).
-    SessionWork,
-    /// Frozen contexts fitted (prompt conditioned).
-    ContextFits,
-    /// Requests joined to a frozen context.
-    ContextJoins,
-    /// One-time prompt-conditioning tokens across fitted contexts.
-    PromptTokens,
-    /// `(sample, attempt)` draws executed.
-    Attempts,
-    /// Attempts that produced a valid sample.
-    AttemptsValid,
-    /// Attempts that completed but were fatally defective.
-    AttemptsDefective,
-    /// Attempts that failed on infrastructure.
-    AttemptsInfra,
-    /// Attempts that panicked and were isolated.
-    AttemptsPanicked,
-    /// Generated tokens attributed to attempts.
-    GeneratedTokens,
-    /// Work units attributed to attempts.
-    WorkUnits,
-    /// Samples re-queued for another attempt.
-    Retries,
-    /// Defects observed (all classes).
-    Defects,
-    /// Panics caught and converted to defects.
-    PanicsIsolated,
-    /// Requests whose quorum was checked at finalization.
-    QuorumResolves,
-    /// Quorum checks that failed.
-    QuorumFailures,
-    /// Forecasts produced by the classical fallback.
-    Fallbacks,
-    /// Requests rejected at admission on an exhausted client quota.
-    QuotaRejections,
-    /// Requests shed at admission by the queue-capacity ordering.
-    Sheds,
-    /// Retries deferred by the bounded exponential backoff.
-    Backoffs,
-    /// Submissions bounced off the hard submission cap.
-    QueueFullRejections,
-    /// Circuit-breaker open transitions (trips).
-    BreakerTrips,
-    /// Circuit-breaker close transitions.
-    BreakerCloses,
-    /// Requests rejected at admission while a breaker was open.
-    BreakerRejections,
-    /// Context fits served from the cross-batch frozen-context cache.
-    CacheHits,
-    /// Context fits the cache could not serve (from-scratch fit paid).
-    CacheMisses,
-    /// Cached contexts delta-updated in place by incremental refit.
-    CacheRefits,
-    /// Cache entries evicted to make room for insertions.
-    CacheEvictions,
-    /// Span open halves recorded (any kind).
-    SpanOpens,
-    /// Span close halves recorded (any kind).
-    SpanCloses,
-}
-
-impl Counter {
-    /// All counters, in display order.
-    pub const ALL: [Counter; 35] = [
-        Counter::Events,
-        Counter::QueueWaits,
-        Counter::DedupHits,
-        Counter::Sessions,
-        Counter::SessionTokens,
-        Counter::SessionWork,
-        Counter::ContextFits,
-        Counter::ContextJoins,
-        Counter::PromptTokens,
-        Counter::Attempts,
-        Counter::AttemptsValid,
-        Counter::AttemptsDefective,
-        Counter::AttemptsInfra,
-        Counter::AttemptsPanicked,
-        Counter::GeneratedTokens,
-        Counter::WorkUnits,
-        Counter::Retries,
-        Counter::Defects,
-        Counter::PanicsIsolated,
-        Counter::QuorumResolves,
-        Counter::QuorumFailures,
-        Counter::Fallbacks,
-        Counter::QuotaRejections,
-        Counter::Sheds,
-        Counter::Backoffs,
-        Counter::QueueFullRejections,
-        Counter::BreakerTrips,
-        Counter::BreakerCloses,
-        Counter::BreakerRejections,
-        Counter::CacheHits,
-        Counter::CacheMisses,
-        Counter::CacheRefits,
-        Counter::CacheEvictions,
-        Counter::SpanOpens,
-        Counter::SpanCloses,
-    ];
-
-    /// Stable snake_case name for snapshots.
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::Events => "events",
-            Counter::QueueWaits => "queue_waits",
-            Counter::DedupHits => "fit_dedup_hits",
-            Counter::Sessions => "sessions",
-            Counter::SessionTokens => "session_tokens",
-            Counter::SessionWork => "session_work",
-            Counter::ContextFits => "context_fits",
-            Counter::ContextJoins => "context_joins",
-            Counter::PromptTokens => "prompt_tokens",
-            Counter::Attempts => "attempts",
-            Counter::AttemptsValid => "attempts_valid",
-            Counter::AttemptsDefective => "attempts_defective",
-            Counter::AttemptsInfra => "attempts_infra",
-            Counter::AttemptsPanicked => "attempts_panicked",
-            Counter::GeneratedTokens => "generated_tokens",
-            Counter::WorkUnits => "work_units",
-            Counter::Retries => "retries",
-            Counter::Defects => "defects",
-            Counter::PanicsIsolated => "panics_isolated",
-            Counter::QuorumResolves => "quorum_resolves",
-            Counter::QuorumFailures => "quorum_failures",
-            Counter::Fallbacks => "fallbacks",
-            Counter::QuotaRejections => "quota_rejections",
-            Counter::Sheds => "sheds",
-            Counter::Backoffs => "backoffs",
-            Counter::QueueFullRejections => "queue_full_rejections",
-            Counter::BreakerTrips => "breaker_trips",
-            Counter::BreakerCloses => "breaker_closes",
-            Counter::BreakerRejections => "breaker_rejections",
-            Counter::CacheHits => "cache_hits",
-            Counter::CacheMisses => "cache_misses",
-            Counter::CacheRefits => "cache_refits",
-            Counter::CacheEvictions => "cache_evictions",
-            Counter::SpanOpens => "span_opens",
-            Counter::SpanCloses => "span_closes",
-        }
+taxonomy! {
+    /// Every counter the registry tracks.
+    pub enum Counter {
+        /// Events recorded (any kind).
+        Events => "events",
+        /// Task dequeues observed by the worker pool.
+        QueueWaits => "queue_waits",
+        /// Requests that reused an already-fitted frozen context.
+        DedupHits => "fit_dedup_hits",
+        /// Decode sessions that completed inside the model boundary.
+        Sessions => "sessions",
+        /// Tokens generated across completed sessions (metered ground truth).
+        SessionTokens => "session_tokens",
+        /// Work units across completed sessions (metered ground truth).
+        SessionWork => "session_work",
+        /// Frozen contexts fitted (prompt conditioned).
+        ContextFits => "context_fits",
+        /// Requests joined to a frozen context.
+        ContextJoins => "context_joins",
+        /// One-time prompt-conditioning tokens across fitted contexts.
+        PromptTokens => "prompt_tokens",
+        /// `(sample, attempt)` draws executed.
+        Attempts => "attempts",
+        /// Attempts that produced a valid sample.
+        AttemptsValid => "attempts_valid",
+        /// Attempts that completed but were fatally defective.
+        AttemptsDefective => "attempts_defective",
+        /// Attempts that failed on infrastructure.
+        AttemptsInfra => "attempts_infra",
+        /// Attempts that panicked and were isolated.
+        AttemptsPanicked => "attempts_panicked",
+        /// Generated tokens attributed to attempts.
+        GeneratedTokens => "generated_tokens",
+        /// Work units attributed to attempts.
+        WorkUnits => "work_units",
+        /// Samples re-queued for another attempt.
+        Retries => "retries",
+        /// Defects observed (all classes).
+        Defects => "defects",
+        /// Panics caught and converted to defects.
+        PanicsIsolated => "panics_isolated",
+        /// Requests whose quorum was checked at finalization.
+        QuorumResolves => "quorum_resolves",
+        /// Quorum checks that failed.
+        QuorumFailures => "quorum_failures",
+        /// Forecasts produced by the classical fallback.
+        Fallbacks => "fallbacks",
+        /// Requests rejected at admission on an exhausted client quota.
+        QuotaRejections => "quota_rejections",
+        /// Requests shed at admission by the queue-capacity ordering.
+        Sheds => "sheds",
+        /// Retries deferred by the bounded exponential backoff.
+        Backoffs => "backoffs",
+        /// Submissions bounced off the hard submission cap.
+        QueueFullRejections => "queue_full_rejections",
+        /// Circuit-breaker open transitions (trips).
+        BreakerTrips => "breaker_trips",
+        /// Circuit-breaker close transitions.
+        BreakerCloses => "breaker_closes",
+        /// Requests rejected at admission while a breaker was open.
+        BreakerRejections => "breaker_rejections",
+        /// Context fits served from the cross-batch frozen-context cache.
+        CacheHits => "cache_hits",
+        /// Context fits the cache could not serve (from-scratch fit paid).
+        CacheMisses => "cache_misses",
+        /// Cached contexts delta-updated in place by incremental refit.
+        CacheRefits => "cache_refits",
+        /// Cache entries evicted to make room for insertions.
+        CacheEvictions => "cache_evictions",
+        /// Span open halves recorded (any kind).
+        SpanOpens => "span_opens",
+        /// Span close halves recorded (any kind).
+        SpanCloses => "span_closes",
     }
 }
 
@@ -236,7 +161,7 @@ impl Histogram {
 #[derive(Debug)]
 pub struct MetricsRegistry {
     counters: [AtomicU64; Counter::ALL.len()],
-    defects: [AtomicU64; DEFECT_CLASSES],
+    defects: [AtomicU64; DefectClass::ALL.len()],
     span_opens: [AtomicU64; SPAN_KINDS],
     queue_wait: Histogram,
     attempt_tokens: Histogram,
@@ -269,7 +194,7 @@ impl MetricsRegistry {
 
     /// Adds `n` to a counter.
     pub fn add(&self, counter: Counter, n: u64) {
-        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+        self.counters[counter.index()].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds 1 to a counter.
@@ -279,18 +204,17 @@ impl MetricsRegistry {
 
     /// Current value of a counter.
     pub fn get(&self, counter: Counter) -> u64 {
-        self.counters[counter as usize].load(Ordering::Relaxed)
+        self.counters[counter.index()].load(Ordering::Relaxed)
     }
 
-    /// Adds one defect of the given taxonomy class (out-of-range classes
-    /// are clamped into the last slot rather than dropped).
-    pub fn add_defect(&self, class: usize) {
-        self.defects[class.min(DEFECT_CLASSES - 1)].fetch_add(1, Ordering::Relaxed);
+    /// Adds one defect of the given taxonomy class.
+    pub fn add_defect(&self, class: DefectClass) {
+        self.defects[class.index()].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Defects of one taxonomy class recorded so far.
-    pub fn defect_count(&self, class: usize) -> u64 {
-        self.defects[class.min(DEFECT_CLASSES - 1)].load(Ordering::Relaxed)
+    pub fn defect_count(&self, class: DefectClass) -> u64 {
+        self.defects[class.index()].load(Ordering::Relaxed)
     }
 
     /// The queue-wait histogram (clock units per dequeue).
@@ -339,7 +263,7 @@ impl MetricsRegistry {
             EventKind::Retry { .. } => self.incr(Counter::Retries),
             EventKind::Defect { class, .. } => {
                 self.incr(Counter::Defects);
-                self.add_defect(class as usize);
+                self.add_defect(class);
             }
             EventKind::PanicIsolated { .. } => self.incr(Counter::PanicsIsolated),
             EventKind::QuorumResolve { met, .. } => {
@@ -366,10 +290,8 @@ impl MetricsRegistry {
     }
 
     /// Folds one span half into the counters: open/close totals plus a
-    /// per-kind open count. This is the single routing table from the
-    /// span vocabulary to metrics — one arm per [`SpanKind`] variant, so
-    /// the `span-drift` analyzer pass can hold it exhaustive against
-    /// the enum; [`crate::record::Observer`] calls it for every span.
+    /// per-kind open count in the kind's [`SpanKind::index`] slot;
+    /// [`crate::record::Observer`] calls it for every span.
     pub fn record_span(&self, span: &SpanEvent) {
         match span.phase {
             SpanPhase::Open => self.incr(Counter::SpanOpens),
@@ -378,22 +300,7 @@ impl MetricsRegistry {
                 return;
             }
         }
-        let slot = match span.kind {
-            SpanKind::Request => 0,
-            SpanKind::ContextFit => 1,
-            SpanKind::Attempt { .. } => 2,
-            SpanKind::Draw { .. } => 3,
-            SpanKind::Retry { .. } => 4,
-            SpanKind::Backoff { .. } => 5,
-            SpanKind::Quorum => 6,
-            SpanKind::Fallback => 7,
-            SpanKind::Shed => 8,
-            SpanKind::QueueWait => 9,
-            SpanKind::CacheLookup => 10,
-            SpanKind::Session => 11,
-        };
-        debug_assert_eq!(slot, span.kind.index(), "routing table mirrors SpanKind::index");
-        self.span_opens[slot].fetch_add(1, Ordering::Relaxed);
+        self.span_opens[span.kind.index()].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Spans of one kind opened so far.
@@ -451,8 +358,8 @@ impl HistogramSnapshot {
 pub struct MetricsSnapshot {
     /// `(name, value)` per counter, in [`Counter::ALL`] order.
     pub counters: Vec<(&'static str, u64)>,
-    /// Per-class defect counts, in taxonomy order.
-    pub defects: [u64; DEFECT_CLASSES],
+    /// Per-class defect counts, in [`DefectClass::ALL`] order.
+    pub defects: [u64; DefectClass::ALL.len()],
     /// `(name, opens)` per span kind, in [`SpanKind::NAMES`] order.
     pub spans: Vec<(&'static str, u64)>,
     /// Histogram snapshots.
@@ -475,8 +382,8 @@ impl MetricsSnapshot {
             let _ = writeln!(md, "| {name} | {value} |");
         }
         md.push_str("\n| defect class | count |\n|---|---:|\n");
-        for (name, count) in DEFECT_CLASS_NAMES.iter().zip(self.defects) {
-            let _ = writeln!(md, "| {name} | {count} |");
+        for (class, count) in DefectClass::ALL.iter().zip(self.defects) {
+            let _ = writeln!(md, "| {} | {count} |", class.name());
         }
         md.push_str("\n| span kind | opens |\n|---|---:|\n");
         for &(name, opens) in &self.spans {
@@ -610,7 +517,12 @@ mod tests {
             work_units: 70,
         }));
         reg.record_event(&ev(EventKind::Retry { sample: 0, attempt: 1 }));
-        reg.record_event(&ev(EventKind::Defect { sample: 0, attempt: 0, class: 6, fatal: true }));
+        reg.record_event(&ev(EventKind::Defect {
+            sample: 0,
+            attempt: 0,
+            class: DefectClass::Panicked,
+            fatal: true,
+        }));
         reg.record_event(&ev(EventKind::PanicIsolated { sample: 0, attempt: 0 }));
         reg.record_event(&ev(EventKind::QuorumResolve { valid: 0, required: 1, met: false }));
         reg.record_event(&ev(EventKind::Fallback));
@@ -637,7 +549,7 @@ mod tests {
         assert_eq!(snap.counter("generated_tokens"), 7);
         assert_eq!(snap.counter("retries"), 1);
         assert_eq!(snap.counter("defects"), 1);
-        assert_eq!(snap.defects[6], 1, "panic defect class");
+        assert_eq!(snap.defects[DefectClass::Panicked.index()], 1, "panic defect class");
         assert_eq!(snap.counter("panics_isolated"), 1);
         assert_eq!(snap.counter("quorum_resolves"), 1);
         assert_eq!(snap.counter("quorum_failures"), 1);
@@ -699,14 +611,14 @@ mod tests {
                 scope.spawn(move || {
                     for _ in 0..1000 {
                         reg.incr(Counter::Attempts);
-                        reg.add_defect(3);
+                        reg.add_defect(DefectClass::OutOfBandCode);
                         reg.queue_wait().observe(42);
                     }
                 });
             }
         });
         assert_eq!(reg.get(Counter::Attempts), 8000);
-        assert_eq!(reg.defect_count(3), 8000);
+        assert_eq!(reg.defect_count(DefectClass::OutOfBandCode), 8000);
         assert_eq!(reg.queue_wait().count(), 8000);
         assert_eq!(reg.queue_wait().sum(), 8000 * 42);
     }
@@ -719,8 +631,8 @@ mod tests {
         for c in Counter::ALL {
             assert!(md.contains(c.name()), "missing counter {}", c.name());
         }
-        for name in DEFECT_CLASS_NAMES {
-            assert!(md.contains(name), "missing defect class {name}");
+        for class in DefectClass::ALL {
+            assert!(md.contains(class.name()), "missing defect class {}", class.name());
         }
         for name in SpanKind::NAMES {
             assert!(md.contains(name), "missing span kind {name}");

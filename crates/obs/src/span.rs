@@ -138,20 +138,7 @@ pub const SPAN_KINDS: usize = 12;
 impl SpanKind {
     /// Stable snake_case name for exports and metrics.
     pub fn name(&self) -> &'static str {
-        match self {
-            SpanKind::Request => "request",
-            SpanKind::ContextFit => "context_fit",
-            SpanKind::Attempt { .. } => "attempt",
-            SpanKind::Draw { .. } => "draw",
-            SpanKind::Retry { .. } => "retry",
-            SpanKind::Backoff { .. } => "backoff",
-            SpanKind::Quorum => "quorum",
-            SpanKind::Fallback => "fallback",
-            SpanKind::Shed => "shed",
-            SpanKind::QueueWait => "queue_wait",
-            SpanKind::CacheLookup => "cache_lookup",
-            SpanKind::Session => "session",
-        }
+        Self::NAMES[self.index()]
     }
 
     /// Whether the span's id and multiset are invariant to worker count
@@ -159,11 +146,12 @@ impl SpanKind {
     /// Deterministic spans form the canonical span export; the rest feed
     /// metrics and the wall-clock sidecar only.
     pub fn deterministic(&self) -> bool {
-        !matches!(self, SpanKind::QueueWait | SpanKind::CacheLookup | SpanKind::Session)
+        self.rank() != u8::MAX
     }
 
     /// Ordering rank used by the canonical export so a request's spans
-    /// read in pipeline order.
+    /// read in pipeline order. Scheduler-scoped kinds rank `u8::MAX`,
+    /// which is what [`SpanKind::deterministic`] reads.
     pub fn rank(&self) -> u8 {
         match self {
             SpanKind::Request => 0,
@@ -190,8 +178,8 @@ impl SpanKind {
         }
     }
 
-    /// Fixed slot in the per-kind metrics table
-    /// ([`crate::metrics::MetricsRegistry::span_opens`]).
+    /// Fixed slot in [`SpanKind::NAMES`] and the per-kind metrics table
+    /// ([`crate::metrics::MetricsRegistry::span_open_count`]).
     pub fn index(&self) -> usize {
         match self {
             SpanKind::Request => 0,
@@ -691,8 +679,9 @@ mod tests {
             SpanKind::Session,
         ];
         assert_eq!(kinds.len(), SPAN_KINDS);
-        for kind in &kinds {
-            assert_eq!(SpanKind::NAMES[kind.index()], kind.name());
+        // One slot per kind, so `name()` and the metrics table never alias.
+        for (i, kind) in kinds.iter().enumerate() {
+            assert_eq!(kind.index(), i, "{kind:?}");
         }
         assert!(!SpanKind::QueueWait.deterministic());
         assert!(!SpanKind::CacheLookup.deterministic());

@@ -172,15 +172,21 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so the bound keeps hostile input from overflowing the
+/// stack; committed BENCH files nest 3–4 levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document (standard grammar; `\uXXXX` escapes limited to
-/// the BMP, which covers everything the writer emits).
+/// the BMP, which covers everything the writer emits; at most
+/// [`MAX_DEPTH`] nested arrays/objects).
 ///
 /// # Errors
 /// A message naming the byte offset of the first violation.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -203,8 +209,11 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {pos}"));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
@@ -220,7 +229,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -245,7 +254,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -369,6 +378,16 @@ mod tests {
         assert!(parse("123 junk").is_err());
         assert!(parse("\"open").is_err());
         assert!(parse("nil").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let err = parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert_eq!(err, format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}"));
+        let err = parse(&"{\"a\":".repeat(1_000)).unwrap_err();
+        assert!(err.starts_with("nesting deeper than"), "{err}");
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
     }
 
     #[test]

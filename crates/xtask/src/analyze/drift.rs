@@ -1,14 +1,14 @@
 //! Cross-file exhaustiveness-drift passes.
 //!
-//! The reproduction's observability and scenario contracts span crates:
-//! a `DefectClass` variant added in `mc-core` must grow a counter slot
-//! in `mc-obs`; an `EventKind` variant must be rendered by canonical
-//! export and recorded by the metrics registry; a `.spec` grammar key
-//! must be read by the builder; a `ScenarioKind` must have a committed
-//! golden spec, and a BENCH baseline when its runner emits one. The
-//! compiler cannot see across these seams (string tables, file stems),
+//! The scenario contracts span files the compiler cannot connect: a
+//! `.spec` grammar key must be read by the builder, and a `ScenarioKind`
+//! must have a committed golden spec, and a BENCH baseline when its
+//! runner emits one. The links run through string tables and file stems,
 //! so each contract is checked structurally here and fails with a
-//! span-accurate finding at the drifted declaration.
+//! span-accurate finding at the drifted declaration. (The telemetry
+//! taxonomies need no pass: each is one `mc-obs` definition, and its
+//! export and metrics routing are exhaustive matches that rustc and
+//! clippy check.)
 //!
 //! Contract locations are pinned by path — moving one of these files is
 //! itself a contract change and should fail loudly:
@@ -18,14 +18,9 @@ use std::path::Path;
 
 use super::tree::{all_items, find, Item, ItemKind};
 use super::{Finding, SourceFile, Workspace};
-use crate::lexer::{Kind, Token};
+use crate::lexer::Kind;
 
 /// Where the cross-file contracts live.
-pub const ROBUST_RS: &str = "crates/core/src/robust.rs";
-pub const EVENT_RS: &str = "crates/obs/src/event.rs";
-pub const SPAN_RS: &str = "crates/obs/src/span.rs";
-pub const EXPORT_RS: &str = "crates/obs/src/export.rs";
-pub const METRICS_RS: &str = "crates/obs/src/metrics.rs";
 pub const SPEC_RS: &str = "crates/spec/src/spec.rs";
 pub const BUILDER_RS: &str = "crates/spec/src/builder.rs";
 pub const RUNNER_RS: &str = "crates/spec/src/runner.rs";
@@ -92,343 +87,11 @@ fn literal_str(text: &str) -> Option<&str> {
     }
 }
 
-/// Variant names (with spans) of the enum `name` in `file`.
-fn enum_variants(file: &SourceFile, name: &str) -> Option<Vec<(String, usize, usize)>> {
-    let item = find(&file.tree, ItemKind::Enum, name)?;
-    let (b0, b1) = item.body?;
-    let mut out = Vec::new();
-    let mut i = b0;
-    let mut depth = 0i32;
-    let mut expecting = true;
-    while i < b1 {
-        let t = &file.tokens[i];
-        if t.is_punct('#') && file.tokens.get(i + 1).is_some_and(|n| n.is_punct('[')) {
-            // Skip variant attributes.
-            let mut d = 0i32;
-            i += 1;
-            while i < b1 {
-                if file.tokens[i].is_punct('[') {
-                    d += 1;
-                } else if file.tokens[i].is_punct(']') {
-                    d -= 1;
-                    if d == 0 {
-                        break;
-                    }
-                }
-                i += 1;
-            }
-        } else if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-            depth -= 1;
-        } else if depth == 0 && t.is_punct(',') {
-            expecting = true;
-        } else if depth == 0 && expecting && t.kind == Kind::Ident {
-            out.push((t.text.clone(), t.line, t.col));
-            expecting = false;
-        }
-        i += 1;
-    }
-    Some(out)
-}
-
-/// All `Enum::Variant` follower idents in a token range.
-fn qualified_followers(
-    tokens: &[Token],
-    range: (usize, usize),
-    enum_name: &str,
-) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    let (b0, b1) = range;
-    for i in b0..b1 {
-        if tokens[i].is_ident(enum_name)
-            && tokens.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && tokens.get(i + 2).is_some_and(|t| t.is_punct(':'))
-        {
-            if let Some(v) = tokens.get(i + 3).filter(|t| t.kind == Kind::Ident) {
-                out.insert(v.text.clone());
-            }
-        }
-    }
-    out
-}
-
-/// All `Enum::Variant` follower idents in a token range, with the span
-/// of each first occurrence (for findings that point at the arm itself).
-fn qualified_followers_spanned(
-    tokens: &[Token],
-    range: (usize, usize),
-    enum_name: &str,
-) -> Vec<(String, usize, usize)> {
-    let mut out: Vec<(String, usize, usize)> = Vec::new();
-    let (b0, b1) = range;
-    for i in b0..b1 {
-        if tokens[i].is_ident(enum_name)
-            && tokens.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && tokens.get(i + 2).is_some_and(|t| t.is_punct(':'))
-        {
-            if let Some(v) = tokens.get(i + 3).filter(|t| t.kind == Kind::Ident) {
-                if !out.iter().any(|(n, _, _)| n == &v.text) {
-                    out.push((v.text.clone(), v.line, v.col));
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Finds the first non-test `fn name` in the file, at any nesting.
 fn find_fn<'a>(file: &'a SourceFile, name: &str) -> Option<&'a Item> {
     all_items(&file.tree)
         .into_iter()
         .find(|i| i.kind == ItemKind::Fn && i.name == name && !i.cfg_test)
-}
-
-/// `DefectClass` (mc-core) must mirror into the mc-obs defect counters:
-/// same cardinality as `DEFECT_CLASSES`, and the `name()` strings must
-/// equal the `DEFECT_CLASS_NAMES` table both ways.
-pub fn counter_drift(ws: &Workspace) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let Some(robust) = ws.file(ROBUST_RS) else {
-        return vec![missing_contract_file("counter-drift", ROBUST_RS)];
-    };
-    let Some(event) = ws.file(EVENT_RS) else {
-        return vec![missing_contract_file("counter-drift", EVENT_RS)];
-    };
-    let Some(variants) = enum_variants(robust, "DefectClass") else {
-        return vec![missing_contract_file("counter-drift", "enum DefectClass")];
-    };
-
-    // name() arms: DefectClass::Variant => "string".
-    let mut names_by_variant: BTreeMap<String, (String, usize, usize)> = BTreeMap::new();
-    if let Some(f) = find_fn(robust, "name") {
-        if let Some((b0, b1)) = f.body {
-            let mut i = b0;
-            while i + 5 < b1 {
-                let t = &robust.tokens[i];
-                if t.is_ident("DefectClass")
-                    && robust.tokens[i + 1].is_punct(':')
-                    && robust.tokens[i + 2].is_punct(':')
-                    && robust.tokens[i + 3].kind == Kind::Ident
-                    && robust.tokens[i + 4].is_punct('=')
-                    && robust.tokens[i + 5].is_punct('>')
-                {
-                    if let Some(lit) = robust.tokens.get(i + 6).filter(|t| t.kind == Kind::Literal)
-                    {
-                        if let Some(s) = literal_str(&lit.text) {
-                            names_by_variant.insert(
-                                robust.tokens[i + 3].text.clone(),
-                                (s.to_string(), lit.line, lit.col),
-                            );
-                        }
-                    }
-                }
-                i += 1;
-            }
-        }
-    }
-
-    // The mc-obs side: DEFECT_CLASS_NAMES entries and DEFECT_CLASSES.
-    let mut obs_names: Vec<(String, usize, usize)> = Vec::new();
-    let names_const = find(&event.tree, ItemKind::Const, "DEFECT_CLASS_NAMES");
-    if let Some(item) = names_const {
-        for t in &event.tokens[item.start..item.end] {
-            if t.kind == Kind::Literal {
-                if let Some(s) = literal_str(&t.text) {
-                    obs_names.push((s.to_string(), t.line, t.col));
-                }
-            }
-        }
-    } else {
-        out.push(missing_contract_file("counter-drift", "const DEFECT_CLASS_NAMES"));
-    }
-    if let Some(item) = find(&event.tree, ItemKind::Const, "DEFECT_CLASSES") {
-        let count = event.tokens[item.start..item.end]
-            .iter()
-            .find(|t| t.kind == Kind::Number)
-            .and_then(|t| t.text.parse::<usize>().ok());
-        if let Some(n) = count {
-            if n != variants.len() {
-                out.push(Finding {
-                    path: event.path.clone(),
-                    line: item.line,
-                    col: item.col,
-                    rule: "counter-drift",
-                    symbol: "DEFECT_CLASSES".to_string(),
-                    message: format!(
-                        "DEFECT_CLASSES is {n} but DefectClass has {} variants — the defect \
-                         counter array no longer mirrors the taxonomy",
-                        variants.len()
-                    ),
-                });
-            }
-        }
-    }
-
-    let obs_set: BTreeSet<&str> = obs_names.iter().map(|(s, _, _)| s.as_str()).collect();
-    for (v, line, col) in &variants {
-        match names_by_variant.get(v) {
-            None => out.push(Finding {
-                path: robust.path.clone(),
-                line: *line,
-                col: *col,
-                rule: "counter-drift",
-                symbol: v.clone(),
-                message: format!(
-                    "DefectClass::{v} has no name() arm — it cannot be mirrored into the \
-                     mc-obs defect counters"
-                ),
-            }),
-            Some((s, nline, ncol)) if names_const.is_some() && !obs_set.contains(s.as_str()) => {
-                out.push(Finding {
-                    path: robust.path.clone(),
-                    line: *nline,
-                    col: *ncol,
-                    rule: "counter-drift",
-                    symbol: v.clone(),
-                    message: format!(
-                        "defect name \"{s}\" (DefectClass::{v}) is missing from mc-obs \
-                         DEFECT_CLASS_NAMES — its defect counter slot does not exist"
-                    ),
-                });
-            }
-            Some(_) => {}
-        }
-    }
-    let produced: BTreeSet<&str> = names_by_variant.values().map(|(s, _, _)| s.as_str()).collect();
-    for (s, line, col) in &obs_names {
-        if !produced.contains(s.as_str()) {
-            out.push(Finding {
-                path: event.path.clone(),
-                line: *line,
-                col: *col,
-                rule: "counter-drift",
-                symbol: s.clone(),
-                message: format!(
-                    "DEFECT_CLASS_NAMES entry \"{s}\" mirrors no DefectClass variant — a \
-                     stale counter slot"
-                ),
-            });
-        }
-    }
-    out
-}
-
-/// Every `EventKind` variant must be rendered by canonical export
-/// (`export.rs::body`) and recorded by the metrics registry
-/// (`metrics.rs::record_event`).
-pub fn event_drift(ws: &Workspace) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let Some(event) = ws.file(EVENT_RS) else {
-        return vec![missing_contract_file("event-drift", EVENT_RS)];
-    };
-    let Some(export) = ws.file(EXPORT_RS) else {
-        return vec![missing_contract_file("event-drift", EXPORT_RS)];
-    };
-    let Some(metrics) = ws.file(METRICS_RS) else {
-        return vec![missing_contract_file("event-drift", METRICS_RS)];
-    };
-    let Some(variants) = enum_variants(event, "EventKind") else {
-        return vec![missing_contract_file("event-drift", "enum EventKind")];
-    };
-    let handled_in = |file: &SourceFile, fn_name: &str| -> Option<BTreeSet<String>> {
-        let f = find_fn(file, fn_name)?;
-        Some(qualified_followers(&file.tokens, f.body?, "EventKind"))
-    };
-    let Some(exported) = handled_in(export, "body") else {
-        return vec![missing_contract_file("event-drift", "export.rs fn body")];
-    };
-    let Some(recorded) = handled_in(metrics, "record_event") else {
-        return vec![missing_contract_file("event-drift", "metrics.rs fn record_event")];
-    };
-    for (v, line, col) in &variants {
-        for (set, place) in [
-            (&exported, "canonical export (export.rs body())"),
-            (&recorded, "metrics recording (metrics.rs record_event())"),
-        ] {
-            if !set.contains(v) {
-                out.push(Finding {
-                    path: event.path.clone(),
-                    line: *line,
-                    col: *col,
-                    rule: "event-drift",
-                    symbol: v.clone(),
-                    message: format!("EventKind::{v} is not handled by {place}"),
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Every `SpanKind` variant must be rendered by the canonical span
-/// export (`export.rs::span_body`) and folded into the per-kind span
-/// counters (`metrics.rs::record_span`) — and in reverse: an arm in
-/// either function naming a variant the enum no longer has is a stale
-/// slot that silently misattributes latency.
-pub fn span_drift(ws: &Workspace) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let Some(span) = ws.file(SPAN_RS) else {
-        return vec![missing_contract_file("span-drift", SPAN_RS)];
-    };
-    let Some(export) = ws.file(EXPORT_RS) else {
-        return vec![missing_contract_file("span-drift", EXPORT_RS)];
-    };
-    let Some(metrics) = ws.file(METRICS_RS) else {
-        return vec![missing_contract_file("span-drift", METRICS_RS)];
-    };
-    let Some(variants) = enum_variants(span, "SpanKind") else {
-        return vec![missing_contract_file("span-drift", "enum SpanKind")];
-    };
-    let handled_in = |file: &SourceFile, fn_name: &str| -> Option<Vec<(String, usize, usize)>> {
-        let f = find_fn(file, fn_name)?;
-        Some(qualified_followers_spanned(&file.tokens, f.body?, "SpanKind"))
-    };
-    let Some(exported) = handled_in(export, "span_body") else {
-        return vec![missing_contract_file("span-drift", "export.rs fn span_body")];
-    };
-    let Some(recorded) = handled_in(metrics, "record_span") else {
-        return vec![missing_contract_file("span-drift", "metrics.rs fn record_span")];
-    };
-    for (v, line, col) in &variants {
-        for (handled, place) in [
-            (&exported, "canonical span export (export.rs span_body())"),
-            (&recorded, "span metrics (metrics.rs record_span())"),
-        ] {
-            if !handled.iter().any(|(n, _, _)| n == v) {
-                out.push(Finding {
-                    path: span.path.clone(),
-                    line: *line,
-                    col: *col,
-                    rule: "span-drift",
-                    symbol: v.clone(),
-                    message: format!("SpanKind::{v} is not handled by {place}"),
-                });
-            }
-        }
-    }
-    let variant_names: BTreeSet<&str> = variants.iter().map(|(v, _, _)| v.as_str()).collect();
-    for (file, handled, place) in
-        [(export, &exported, "span_body"), (metrics, &recorded, "record_span")]
-    {
-        for (n, line, col) in handled {
-            if variant_names.contains(n.as_str()) {
-                continue;
-            }
-            out.push(Finding {
-                path: file.path.clone(),
-                line: *line,
-                col: *col,
-                rule: "span-drift",
-                symbol: n.clone(),
-                message: format!(
-                    "{place}() handles SpanKind::{n}, which the enum no longer declares — a \
-                     stale arm that misattributes spans"
-                ),
-            });
-        }
-    }
-    out
 }
 
 /// Every `.spec` grammar key (a string-literal match arm in spec.rs's

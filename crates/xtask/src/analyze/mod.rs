@@ -9,12 +9,13 @@
 //!   approximates held-while-acquiring pairs from guard scopes, builds
 //!   the acquisition graph and fails on cycles, same-lock reacquisition,
 //!   unresolvable receivers, and locks acquired outside the shim seam.
-//! - **[`drift`]** — cross-file exhaustiveness contracts: every
-//!   `DefectClass` variant mirrored into the mc-obs defect counters,
-//!   every `EventKind` variant handled by canonical export and metrics
-//!   recording, every `.spec` grammar key consumed by the builder, every
-//!   `ScenarioKind` backed by a committed golden spec (and a BENCH
-//!   baseline when its runner emits one).
+//! - **[`drift`]** — cross-file exhaustiveness contracts: every `.spec`
+//!   grammar key consumed by the builder, every `ScenarioKind` backed by
+//!   a committed golden spec (and a BENCH baseline when its runner emits
+//!   one). The telemetry taxonomies (`Counter`, `DefectClass`,
+//!   `EventKind`, `SpanKind`) have no pass here: each is defined once in
+//!   `mc-obs`, and rustc plus clippy's wildcard lints hold its export and
+//!   metrics matches exhaustive.
 //! - **[`stale`]** — cross-references `mc-lint.allow` entries against
 //!   the symbol index so entries naming moved or renamed paths/symbols
 //!   fail loudly at their allowlist line.
@@ -42,12 +43,9 @@ use crate::lexer::{lex_full, Token};
 use crate::lints;
 
 /// Analyze rule names, for reports and allowlist scoping.
-pub const RULE_NAMES: [&str; 10] = [
+pub const RULE_NAMES: [&str; 7] = [
     "lock-order",
     "lock-seam",
-    "counter-drift",
-    "event-drift",
-    "span-drift",
     "spec-drift",
     "scenario-drift",
     "stale-allow",
@@ -229,9 +227,6 @@ pub fn run_passes(
     let idx = index::SymbolIndex::build(ws);
     let lock_report = locks::check(ws);
     let mut findings = lock_report.findings;
-    findings.extend(drift::counter_drift(ws));
-    findings.extend(drift::event_drift(ws));
-    findings.extend(drift::span_drift(ws));
     findings.extend(drift::spec_drift(ws));
     findings.extend(drift::scenario_drift(ws, artifacts));
     findings.extend(stale::check(&idx, allowlist));

@@ -5,7 +5,7 @@
 //!   Exits non-zero on any violation or stale allowlist entry.
 //! - `analyze` — run mc-analyze, the structural analysis layer (see
 //!   `xtask::analyze::run_analyze`): lock-order and seam checks,
-//!   exhaustiveness-drift passes, allowlist staleness, and the
+//!   spec/scenario drift passes, allowlist staleness, and the
 //!   tree-based `no-direct-fit` / `single-construction` rules. Same
 //!   deny-by-default contract and allowlist file as `lint`;
 //!   `--report PATH` additionally writes a machine-readable JSON
@@ -222,9 +222,9 @@ fn main() -> ExitCode {
         None => {
             eprintln!(
                 "usage: cargo xtask <task>\n\ntasks:\n  lint          run mc-lint over the \
-                 workspace\n  analyze       run mc-analyze (lock order, drift, allowlist \
-                 staleness) [--report PATH]\n  bench-gate    compare BENCH_*.json reports \
-                 against the committed baseline"
+                 workspace\n  analyze       run mc-analyze (lock order, spec/scenario \
+                 drift, allowlist staleness) [--report PATH]\n  bench-gate    compare \
+                 BENCH_*.json reports against the committed baseline"
             );
             ExitCode::FAILURE
         }

@@ -13,13 +13,8 @@ use xtask::analyze::index::SymbolIndex;
 use xtask::analyze::{drift, locks, rules, run_analyze, stale, Workspace};
 
 const LOCK_CYCLE: &str = include_str!("fixtures/analyze/lock_cycle.rs");
-const COUNTER_ROBUST: &str = include_str!("fixtures/analyze/counter_drift_robust.rs");
-const COUNTER_EVENT: &str = include_str!("fixtures/analyze/counter_drift_event.rs");
 const SPEC_SPEC: &str = include_str!("fixtures/analyze/spec_drift_spec.rs");
 const SPEC_BUILDER: &str = include_str!("fixtures/analyze/spec_drift_builder.rs");
-const SPAN_SPAN: &str = include_str!("fixtures/analyze/span_drift_span.rs");
-const SPAN_EXPORT: &str = include_str!("fixtures/analyze/span_drift_export.rs");
-const SPAN_METRICS: &str = include_str!("fixtures/analyze/span_drift_metrics.rs");
 const DIRECT_FIT: &str = include_str!("fixtures/direct_fit.rs");
 const DUP: &str = include_str!("fixtures/dup_construction.rs");
 
@@ -117,72 +112,6 @@ fn seeded_cycle_without_the_shim_import_also_breaks_the_seam() {
     assert!(seam[0].message.contains("does not import the mc-sync shim"), "{}", seam[0].message);
     // The cycle is still found — the two passes are independent.
     assert!(report.findings.iter().any(|f| f.message.contains("cycle")), "{:?}", report.findings);
-}
-
-#[test]
-fn seeded_counter_drift_fails_on_both_sides_of_the_mirror() {
-    let w = ws(&[(drift::ROBUST_RS, COUNTER_ROBUST), (drift::EVENT_RS, COUNTER_EVENT)]);
-    let findings = drift::counter_drift(&w);
-    assert_eq!(findings.len(), 2, "{findings:?}");
-    assert!(findings.iter().all(|f| f.rule == "counter-drift"));
-
-    let mismatch = findings.iter().find(|f| f.symbol == "DEFECT_CLASSES").unwrap();
-    assert_eq!(
-        (mismatch.path.as_str(), mismatch.line, mismatch.col),
-        (drift::EVENT_RS, 6, col(COUNTER_EVENT, 6, "DEFECT_CLASSES")),
-    );
-    assert!(
-        mismatch.message.contains("DEFECT_CLASSES is 1 but DefectClass has 2 variants"),
-        "{}",
-        mismatch.message
-    );
-
-    let missing = findings.iter().find(|f| f.symbol == "Shape").unwrap();
-    assert_eq!(
-        (missing.path.as_str(), missing.line, missing.col),
-        (drift::ROBUST_RS, 14, col(COUNTER_ROBUST, 14, "\"shape\"")),
-    );
-    assert!(
-        missing.message.contains("missing from mc-obs DEFECT_CLASS_NAMES"),
-        "{}",
-        missing.message
-    );
-}
-
-#[test]
-fn seeded_span_drift_fails_on_both_directions_of_the_contract() {
-    let w = ws(&[
-        (drift::SPAN_RS, SPAN_SPAN),
-        (drift::EXPORT_RS, SPAN_EXPORT),
-        (drift::METRICS_RS, SPAN_METRICS),
-    ]);
-    let findings = drift::span_drift(&w);
-    assert_eq!(findings.len(), 2, "{findings:?}");
-    assert!(findings.iter().all(|f| f.rule == "span-drift"));
-
-    // Forward: the export half never renders QueueWait — the finding
-    // points at the enum variant that lost its coverage.
-    let missing = findings.iter().find(|f| f.symbol == "QueueWait").unwrap();
-    assert_eq!(
-        (missing.path.as_str(), missing.line, missing.col),
-        (drift::SPAN_RS, 10, col(SPAN_SPAN, 10, "QueueWait")),
-    );
-    assert!(
-        missing.message.contains("not handled by canonical span export"),
-        "{}",
-        missing.message
-    );
-
-    // Reverse: the stale Probe arm fails at the arm itself.
-    let stale = findings.iter().find(|f| f.symbol == "Probe").unwrap();
-    assert_eq!(
-        (stale.path.as_str(), stale.line, stale.col),
-        (drift::EXPORT_RS, 10, col(SPAN_EXPORT, 10, "Probe")),
-    );
-    assert!(stale.message.contains("the enum no longer declares"), "{}", stale.message);
-
-    // The clean half (metrics) contributes nothing.
-    assert!(findings.iter().all(|f| f.path != drift::METRICS_RS), "{findings:?}");
 }
 
 #[test]

@@ -526,3 +526,55 @@ proptest! {
         prop_assert_eq!(cache.stats().refits, 1);
     }
 }
+
+proptest! {
+    // Parser fuzzing is cheap: many cases.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `FaultProfile::parse` is total: arbitrary text, and key=value lists
+    /// that mix real keys with junk values, yield a profile or a typed
+    /// `InvalidParameter` error, never a panic. A parsed profile always
+    /// holds a rate in `[0, 1]`.
+    #[test]
+    fn fault_profile_parse_is_total(
+        text in any::<String>(),
+        parts in prop::collection::vec((0usize..6, "[0-9.eE+-]{0,6}"), 0..5),
+    ) {
+        use multicast_suite::core::robust::FaultProfile;
+        use multicast_suite::tslib::error::TsError;
+        const KEYS: [&str; 6] = ["rate", "seed", "panic", "latency", "quota", "bogus"];
+        let keyed: Vec<String> = parts.iter().map(|(k, v)| format!("{}={v}", KEYS[*k])).collect();
+        let keyed = keyed.join(",");
+        for input in [text.clone(), keyed.clone(), format!("{keyed},{text}")] {
+            match FaultProfile::parse(&input) {
+                Ok(p) => prop_assert!((0.0..=1.0).contains(&p.rate), "{input:?} -> {p:?}"),
+                Err(e) => prop_assert!(
+                    matches!(e, TsError::InvalidParameter { .. }),
+                    "{input:?} -> {e:?}"
+                ),
+            }
+        }
+    }
+
+    /// Every valid profile round-trips through its `Display` form,
+    /// including the omitted-when-default knobs (no panic sample, zero
+    /// latency, no quota) and both rate endpoints.
+    #[test]
+    fn fault_profile_round_trips_through_display(
+        rate in (0usize..4, 0.0f64..1.0),
+        seed in any::<u64>(),
+        panic in (any::<bool>(), any::<usize>()),
+        latency in (any::<bool>(), any::<u64>()),
+        quota in (any::<bool>(), any::<u64>()),
+    ) {
+        use multicast_suite::core::robust::FaultProfile;
+        let profile = FaultProfile {
+            rate: [0.0, 1.0, rate.1, rate.1][rate.0],
+            seed,
+            panic_sample: panic.0.then_some(panic.1),
+            latency_tokens: if latency.0 { latency.1 } else { 0 },
+            quota_tokens: quota.0.then_some(quota.1),
+        };
+        prop_assert_eq!(FaultProfile::parse(&profile.to_string()), Ok(profile));
+    }
+}

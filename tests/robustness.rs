@@ -14,9 +14,7 @@ use multicast_suite::core::{
     ServeConfig, StreamingMultiCast,
 };
 use multicast_suite::datasets::generators::sinusoids;
-use multicast_suite::obs::{
-    Counter, MetricsRegistry, Observer, DEFECT_CLASSES, DEFECT_CLASS_NAMES,
-};
+use multicast_suite::obs::{Counter, MetricsRegistry, Observer};
 use multicast_suite::prelude::*;
 use multicast_suite::sax::alphabet::SaxAlphabetKind;
 use multicast_suite::tslib::error::TsError;
@@ -194,12 +192,14 @@ fn streaming_survives_heavy_faults_and_degrades_gracefully() {
 
 #[test]
 fn defect_taxonomy_is_pinned_across_crates() {
-    // The obs crate mirrors the taxonomy without depending on core; this
-    // pin keeps the two from drifting apart silently.
-    assert_eq!(DefectClass::ALL.len(), DEFECT_CLASSES);
+    // Core re-exports the one table mc-obs defines, so the report's
+    // classes and the registry's counter slots are the same type.
+    assert_eq!(
+        std::any::TypeId::of::<DefectClass>(),
+        std::any::TypeId::of::<multicast_suite::obs::DefectClass>()
+    );
     for (i, class) in DefectClass::ALL.into_iter().enumerate() {
         assert_eq!(class.index(), i, "{class:?} is out of slot order");
-        assert_eq!(DEFECT_CLASS_NAMES[i], class.name(), "{class:?} name drifted");
     }
 }
 
@@ -251,16 +251,16 @@ fn serve_registry_counters_match_rigged_fault_reports() {
     let m = obs.metrics();
     for class in DefectClass::ALL {
         let expected: usize = reports.iter().map(|r| r.defect_count(class)).sum();
-        assert_eq!(m.defect_count(class.index()), expected as u64, "{class:?} counter drifted");
+        assert_eq!(m.defect_count(class), expected as u64, "{class:?} counter drifted");
     }
-    assert!(m.defect_count(DefectClass::Panicked.index()) >= 1, "the rigged panic was counted");
+    assert!(m.defect_count(DefectClass::Panicked) >= 1, "the rigged panic was counted");
     let total_defects: usize = reports.iter().map(|r| r.total_defects()).sum();
     assert_eq!(m.get(Counter::Defects), total_defects as u64);
     let retries: usize = reports.iter().map(|r| r.retries_used).sum();
     assert_eq!(m.get(Counter::Retries), retries as u64);
     assert_eq!(
         m.get(Counter::PanicsIsolated),
-        m.defect_count(DefectClass::Panicked.index()),
+        m.defect_count(DefectClass::Panicked),
         "every panic defect came through the isolation layer"
     );
     let attempts: usize = reports.iter().flat_map(|r| &r.samples).map(|s| s.attempts).sum();
@@ -289,7 +289,7 @@ fn record_into_mirrors_the_reports_own_accounting() {
     let reg = MetricsRegistry::new();
     report.record_into(&reg);
     for class in DefectClass::ALL {
-        assert_eq!(reg.defect_count(class.index()), report.defect_count(class) as u64);
+        assert_eq!(reg.defect_count(class), report.defect_count(class) as u64);
     }
     assert_eq!(reg.get(Counter::Defects), report.total_defects() as u64);
     assert_eq!(reg.get(Counter::Retries), report.retries_used as u64);
