@@ -50,7 +50,7 @@ pub trait Codec {
 }
 
 /// A codec fitted on a concrete history: serializer state plus the exact
-/// inverse. `Send + Sync` because decode runs on scoped sample threads.
+/// inverse. `Send + Sync` because decode runs on the executor's workers.
 pub trait FittedCodec: Send + Sync {
     /// The serialized history (ends with a separator, so a continuation
     /// appended to it starts a fresh group).

@@ -15,7 +15,6 @@
 //! to the refit-per-sample path (see `mc-lm`'s preset tests), so forecasts
 //! are unchanged while `prompt_tokens` drops from `S` prompt passes to one.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use mc_tslib::error::{invalid_param, pipeline_error, Result};
@@ -34,10 +33,11 @@ use mc_obs::{Fingerprint, Recorder};
 
 use crate::codec::{Codec, FittedCodec};
 use crate::config::ForecastConfig;
-use crate::pipeline::{median_aggregate, ContinuationSpec};
+use crate::pipeline::{collect_samples, median_aggregate, ContinuationSpec};
 use crate::robust::{
     resolve_quorum_failure, run_attempts, ForecastReport, RobustRun, SampleSource,
 };
+use crate::sched::fan_out;
 
 /// Content fingerprint of a continuation spec — the trace key (`ctx`)
 /// for the frozen context it fits. Mirrors the serve layer's context
@@ -152,8 +152,9 @@ impl ForecastEngine {
     /// `samples` continuations with caller-chosen sampler configs and no
     /// validation/retry — the interval estimator needs every raw sample,
     /// defects included, to keep its quantiles honest. Semantics mirror
-    /// [`crate::pipeline::run_samples`] (same errors, deterministic, one
-    /// scoped thread per sample) except the prompt is fitted once.
+    /// [`crate::pipeline::run_samples`] (same errors, deterministic, the
+    /// samples fanned out by [`crate::sched`]) except the prompt is fitted
+    /// once.
     pub fn draw(
         &self,
         codec: &dyn Codec,
@@ -169,33 +170,11 @@ impl ForecastEngine {
         let spec = self.continuation_spec(fitted.as_ref(), horizon);
         let backend = PreparedBackend::fit(&spec)?;
         let sampler = backend.sampler(spec.separators, spec.max_tokens);
-        type SampleSlot = Option<std::thread::Result<Result<(Vec<Vec<f64>>, InferenceCost)>>>;
-        let mut per_sample: Vec<SampleSlot> = Vec::new();
-        per_sample.resize_with(samples, || None);
-        std::thread::scope(|scope| {
-            for (i, slot) in per_sample.iter_mut().enumerate() {
-                let sampler = &sampler;
-                let sampler_for = &sampler_for;
-                let fitted = fitted.as_ref();
-                scope.spawn(move || {
-                    *slot = Some(catch_unwind(AssertUnwindSafe(|| {
-                        let (text, cost) = sampler.draw(sampler_for(i))?;
-                        Ok((fitted.decode(&text, horizon)?, cost))
-                    })));
-                });
-            }
+        let per_sample = fan_out(samples, |i| {
+            let (text, cost) = sampler.draw(sampler_for(i))?;
+            Ok((fitted.decode(&text, horizon)?, cost))
         });
-        let mut decoded = Vec::with_capacity(samples);
-        let mut total = backend.prompt_cost();
-        for (i, slot) in per_sample.into_iter().enumerate() {
-            let outcome = slot
-                .ok_or_else(|| pipeline_error("sample-thread", format!("sample {i} never ran")))?;
-            let (d, cost) = outcome
-                .map_err(|_| pipeline_error("sample-thread", format!("sample {i} panicked")))??;
-            decoded.push(d);
-            total.absorb(cost);
-        }
-        Ok((decoded, total))
+        collect_samples(per_sample, backend.prompt_cost())
     }
 }
 
@@ -295,8 +274,8 @@ impl PreparedBackend {
 }
 
 /// The sample-many half: draws constrained continuations by forking
-/// throwaway decode sessions off a frozen backend. `Sync`, so samples can
-/// be drawn from scoped threads concurrently.
+/// throwaway decode sessions off a frozen backend. `Sync`, so the
+/// executor's workers can draw samples from it concurrently.
 pub struct SessionSampler<'a> {
     frozen: &'a dyn FrozenLm,
     tokenizer: &'a CharTokenizer,

@@ -7,7 +7,7 @@
 //! accuracy difference between the two isolates the effect of dimensional
 //! multiplexing, exactly the comparison Tables IV–VI make.
 
-use mc_tslib::error::{Result, TsError};
+use mc_tslib::error::{pipeline_error, Result, TsError};
 use mc_tslib::forecast::{MultivariateForecaster, UnivariateForecaster};
 use mc_tslib::series::MultivariateSeries;
 
@@ -18,6 +18,7 @@ use crate::config::ForecastConfig;
 use crate::engine::ForecastEngine;
 use crate::mux::MuxMethod;
 use crate::robust::{ForecastReport, SampleSource};
+use crate::sched::fan_out;
 
 /// Zero-shot univariate LLM forecaster, applied per dimension.
 #[derive(Debug, Clone)]
@@ -98,27 +99,20 @@ impl MultivariateForecaster for LlmTimeForecaster {
         self.last_cost = None;
         self.last_report = None;
         // Dimensions are forecast independently (the whole point of the
-        // baseline), so they run on scoped threads. Every dimension uses
-        // the same deterministic per-sample seeds the sequential loop
+        // baseline), so they fan out over the executor. Every dimension
+        // uses the same deterministic per-sample seeds the sequential loop
         // used, and results merge in dimension order below, so outputs,
         // costs and reports are identical to sequential execution.
-        type ColumnOutcome = Result<(Vec<f64>, InferenceCost, ForecastReport)>;
-        let dims = train.dims();
-        let mut slots: Vec<Option<ColumnOutcome>> = Vec::new();
-        slots.resize_with(dims, || None);
         let this = &*self;
-        std::thread::scope(|scope| {
-            for (d, slot) in slots.iter_mut().enumerate() {
-                scope.spawn(move || {
-                    *slot =
-                        Some(train.column(d).and_then(|col| this.forecast_column(col, horizon)));
-                });
-            }
+        let per_dim = fan_out(train.dims(), |d| {
+            train.column(d).and_then(|col| this.forecast_column(col, horizon))
         });
-        let mut columns = Vec::with_capacity(dims);
+        let mut columns = Vec::with_capacity(per_dim.len());
         let mut total = InferenceCost::default();
-        for slot in slots {
-            let (fc, cost, report) = slot.expect("scoped thread filled its slot")?;
+        for (d, outcome) in per_dim.into_iter().enumerate() {
+            let (fc, cost, report) = outcome.map_err(|_| {
+                pipeline_error("sample-thread", format!("dimension {d} panicked"))
+            })??;
             total.absorb(cost);
             self.merge_report(report);
             columns.push(fc);

@@ -3,9 +3,9 @@
 //! One forecast = `S` independent constrained continuations of the
 //! serialized history, each decoded back to numbers, aggregated pointwise
 //! by the median (LLMTime's recipe, inherited by MultiCast — §IV-D).
-//! Samples are embarrassingly parallel and run on scoped threads; each
-//! sample gets its own backend instance and a deterministic seed, so
-//! parallelism never changes results.
+//! Samples are embarrassingly parallel and fan out over the executor in
+//! [`crate::sched`]; each sample gets its own backend instance and a
+//! deterministic seed, so parallelism never changes results.
 
 use mc_tslib::error::{pipeline_error, Result, TsError};
 
@@ -16,6 +16,8 @@ use mc_lm::presets::{build_model, ModelPreset};
 use mc_lm::sampler::{Sampler, SamplerConfig};
 use mc_lm::tokenizer::{CharTokenizer, Tokenizer};
 use mc_lm::vocab::{TokenId, Vocab};
+
+use crate::sched::fan_out;
 
 /// Everything one sampled continuation needs to run.
 #[derive(Debug, Clone)]
@@ -77,12 +79,13 @@ pub fn run_continuation(
     Ok((text, model.cost()))
 }
 
-/// Runs `samples` continuations (scoped threads, deterministic seeds) and
-/// decodes each with `decode`; returns the per-sample decodings
-/// (`sample → dimension → horizon`) and the summed cost.
+/// Runs `samples` continuations (fanned out over [`crate::sched`],
+/// deterministic seeds) and decodes each with `decode`; returns the
+/// per-sample decodings (`sample → dimension → horizon`) and the summed
+/// cost.
 ///
-/// A panicking sample thread is isolated by `catch_unwind` and surfaced as
-/// a [`TsError::Pipeline`] error rather than aborting the process. For
+/// A panicking sample is isolated by `catch_unwind` and surfaced as a
+/// [`TsError::Pipeline`] error rather than aborting the process. For
 /// per-sample retry, quorum and fallback semantics use
 /// [`crate::robust::run_samples_robust`], which builds on this primitive's
 /// seeding scheme.
@@ -90,7 +93,7 @@ pub fn run_continuation(
 /// # Errors
 /// The first error among: an invalid `samples` count, a failed
 /// continuation ([`run_continuation`]), a failed decode, or a panicked
-/// sample thread.
+/// sample.
 pub fn run_samples<D>(
     spec: &ContinuationSpec,
     samples: usize,
@@ -103,27 +106,29 @@ where
     if samples == 0 {
         return Err(mc_tslib::error::invalid_param("samples", "at least one sample required"));
     }
-    type SampleSlot = Option<std::thread::Result<Result<(Vec<Vec<f64>>, InferenceCost)>>>;
-    let mut per_sample: Vec<SampleSlot> = Vec::new();
-    per_sample.resize_with(samples, || None);
-    std::thread::scope(|scope| {
-        for (i, slot) in per_sample.iter_mut().enumerate() {
-            let spec = &*spec;
-            let sampler_for = &sampler_for;
-            let decode = &decode;
-            scope.spawn(move || {
-                *slot = Some(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let (text, cost) = run_continuation(spec, sampler_for(i))?;
-                    Ok((decode(&text)?, cost))
-                })));
-            });
-        }
+    let per_sample = fan_out(samples, |i| {
+        let (text, cost) = run_continuation(spec, sampler_for(i))?;
+        Ok((decode(&text)?, cost))
     });
-    let mut decoded = Vec::with_capacity(samples);
-    let mut total = InferenceCost::default();
-    for (i, slot) in per_sample.into_iter().enumerate() {
-        let outcome =
-            slot.ok_or_else(|| pipeline_error("sample-thread", format!("sample {i} never ran")))?;
+    collect_samples(per_sample, InferenceCost::default())
+}
+
+/// One sample's decoding (`dimension → horizon`) and generation cost.
+pub(crate) type DecodedSample = Result<(Vec<Vec<f64>>, InferenceCost)>;
+
+/// Folds `fan_out` results of per-sample draws into the decodings (in
+/// sample order) and their cost summed onto `base`.
+///
+/// # Errors
+/// The first failed sample in sample order, with a panic surfaced as a
+/// `sample-thread` [`TsError::Pipeline`].
+pub(crate) fn collect_samples(
+    per_sample: Vec<std::thread::Result<DecodedSample>>,
+    base: InferenceCost,
+) -> Result<(Vec<Vec<Vec<f64>>>, InferenceCost)> {
+    let mut decoded = Vec::with_capacity(per_sample.len());
+    let mut total = base;
+    for (i, outcome) in per_sample.into_iter().enumerate() {
         let (d, cost) = outcome
             .map_err(|_| pipeline_error("sample-thread", format!("sample {i} panicked")))??;
         decoded.push(d);

@@ -7,7 +7,7 @@
 //!
 //! 1. **Validation** — every decoded continuation is checked against a
 //!    [`SampleDefect`] taxonomy (truncation, wrong group width, garbage
-//!    characters, non-finite values, panicking sample threads);
+//!    characters, non-finite values, panicking draws);
 //! 2. **Retry with reseed** — samples with fatal defects are re-drawn
 //!    under fresh deterministic seeds, up to a bounded budget;
 //! 3. **Quorum** — if fewer than `min_valid_samples` survive, the caller
@@ -17,7 +17,7 @@
 //!    records per-sample defects, retries, repairs and whether the
 //!    fallback fired, so the serving layer can alert on decode health.
 //!
-//! Sample threads are isolated with [`std::panic::catch_unwind`]: a panic
+//! Every attempt is isolated with [`std::panic::catch_unwind`]: a panic
 //! in a backend becomes a [`SampleDefect::Panicked`] entry, not a process
 //! abort. [`SampleSource::FaultInjected`] deterministically corrupts
 //! continuations for chaos drills and the fault-injection benchmark.
@@ -37,7 +37,7 @@ use mc_obs::{
 use mc_sync::Mutex;
 
 use crate::pipeline::{run_continuation, ContinuationSpec};
-use crate::sched::{drain, run_attempt, Ladder, Task, TaskQueue};
+use crate::sched::{drain, parallelism, run_attempt, Ladder, Task, TaskQueue};
 
 /// One way a sampled continuation can be bad.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,7 +89,7 @@ pub enum SampleDefect {
         /// Shortest column length found.
         len: usize,
     },
-    /// The sample thread panicked (message is best-effort).
+    /// The draw or decode panicked (message is best-effort).
     Panicked {
         /// Panic payload rendered to text.
         message: String,
@@ -1017,7 +1017,8 @@ where
 /// [`run_samples_robust`].
 ///
 /// The samples run as one request on the executor in [`crate::sched`]:
-/// `samples` workers drain one first-attempt task per sample, and retries
+/// `samples` workers, capped at [`crate::sched::parallelism`] and with the
+/// caller among them, drain one first-attempt task per sample, and retries
 /// re-queue onto the same pool — the serve path's worker loop and attempt
 /// step, with tracing off.
 ///
@@ -1042,7 +1043,7 @@ where
     let queue = TaskQueue::new(first, samples);
     let ladder =
         Ladder { progress: &progress, policy, source, expect, trace: TraceScope::disabled() };
-    drain(&queue, samples, &NoopRecorder, |task| {
+    drain(&queue, samples.min(parallelism()), &NoopRecorder, |task| {
         run_attempt(&queue, task, &ladder, &draw, &decode, |_| {});
     });
     progress

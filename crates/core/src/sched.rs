@@ -7,6 +7,13 @@
 //! (`run_attempt`): budget lookup, the panic-isolated draw, outcome
 //! recording, the fold into the request's [`RobustProgress`], and the
 //! settle-or-retry decision with its `retry`/`backoff` emission.
+//! The calling thread is always one of the workers, and a lone forecast
+//! never asks for more workers than [`parallelism`] reports. The
+//! non-robust fan-outs (the interval estimator's draws, the reference
+//! `run_samples`, LLMTime's per-dimension loop) go through `fan_out`, a
+//! panic-isolated per-index map over the same loop; `xtask lint`'s
+//! `no-scoped-spawn` rule keeps every other thread spawn out of the
+//! workspace's library code.
 //!
 //! [`TaskQueue`] is the single synchronization object the workers
 //! coordinate through. It is generic and public for one reason: the
@@ -38,9 +45,14 @@
 //! through this bounded, settlement-counted type.
 
 use std::collections::VecDeque;
+use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 
 use mc_lm::cost::InferenceCost;
-use mc_obs::{mix, point_span, EventKind, Recorder, SpanEvent, SpanGuard, SpanKind, TraceEvent};
+use mc_obs::{
+    mix, point_span, EventKind, NoopRecorder, Recorder, SpanEvent, SpanGuard, SpanKind, TraceEvent,
+};
 use mc_sync::{Condvar, Mutex};
 use mc_tslib::error::Result;
 
@@ -262,24 +274,60 @@ pub(crate) struct Ladder<'a> {
     pub(crate) trace: TraceScope<'a>,
 }
 
-/// The executor's worker loop: drains `queue` over `workers` scoped
-/// threads (at least one), handing every task to `step`, and returns once
-/// every settlement unit has settled.
+/// The hardware thread count, read once: on Linux each
+/// [`std::thread::available_parallelism`] call re-reads cgroup files, and
+/// the engine ladder asks on every forecast. At least 1.
+pub fn parallelism() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// The executor's worker loop: drains `queue` over `workers` workers (at
+/// least one), handing every task to `step`, and returns once every
+/// settlement unit has settled. The calling thread is one of the workers,
+/// so only `workers - 1` helpers are spawned, and `workers = 1` runs every
+/// task inline on the caller.
 pub(crate) fn drain<T: Send>(
     queue: &TaskQueue<T>,
     workers: usize,
     obs: &dyn Recorder,
     step: impl Fn(T) + Sync,
 ) {
-    std::thread::scope(|scope| {
-        for _ in 0..workers.max(1) {
-            scope.spawn(|| {
-                while let Some(task) = queue.next_observed(obs) {
-                    step(task);
-                }
-            });
+    let work = || {
+        while let Some(task) = queue.next_observed(obs) {
+            step(task);
         }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers.max(1) {
+            scope.spawn(work);
+        }
+        work();
     });
+}
+
+/// Runs `f` on every index in `0..n` through [`drain`], over at most
+/// [`parallelism`] workers with the caller among them, and returns the
+/// results in index order. Each call is panic-isolated: a panicking
+/// index yields `Err` with its payload, and the other indices still run.
+pub(crate) fn fan_out<R: Send>(
+    n: usize,
+    f: impl Fn(usize) -> R + Sync,
+) -> Vec<std::thread::Result<R>> {
+    let queue = TaskQueue::new((0..n).collect(), n);
+    // Results travel back on a second queue, pushed by whichever worker
+    // ran the index and read in any order once the drain returns.
+    let done = TaskQueue::new(Vec::new(), 0);
+    drain(&queue, n.min(parallelism()), &NoopRecorder, |i| {
+        done.push((i, catch_unwind(AssertUnwindSafe(|| f(i)))));
+        queue.settle_one();
+    });
+    let mut slots = Vec::new();
+    slots.resize_with(n, || None);
+    while let Some((i, out)) = done.next() {
+        slots[i] = Some(out);
+    }
+    slots.into_iter().map(|slot| slot.expect("drain settles every index")).collect()
 }
 
 /// The executor's attempt step. Reads the sample's remaining budget, runs
@@ -438,6 +486,61 @@ mod tests {
         assert_eq!(queue.next(), Some("retry"), "fast-forward promotes the earliest deferred");
         queue.settle_one();
         assert_eq!(queue.next(), None);
+    }
+
+    /// Drains `tasks` tasks over `workers` workers and returns the id of
+    /// the thread that ran each task.
+    fn drain_thread_ids(tasks: usize, workers: usize) -> Vec<std::thread::ThreadId> {
+        let queue = TaskQueue::new((0..tasks).collect(), tasks);
+        let ran = Mutex::new(Vec::new());
+        drain(&queue, workers, &NoopRecorder, |_task: usize| {
+            // Hold each task briefly so helpers get a chance to take some.
+            std::thread::sleep(std::time::Duration::from_micros(200));
+            ran.lock().unwrap().push(std::thread::current().id());
+            queue.settle_one();
+        });
+        ran.into_inner().unwrap()
+    }
+
+    #[test]
+    fn one_worker_drains_on_the_calling_thread() {
+        let ran = drain_thread_ids(16, 1);
+        assert_eq!(ran.len(), 16);
+        let caller = std::thread::current().id();
+        assert!(ran.iter().all(|&id| id == caller), "workers = 1 must spawn nothing");
+        // Zero workers is clamped to the caller alone.
+        assert!(drain_thread_ids(4, 0).iter().all(|&id| id == caller));
+    }
+
+    #[test]
+    fn workers_cap_the_thread_count_and_the_caller_works() {
+        let ran = drain_thread_ids(64, 4);
+        assert_eq!(ran.len(), 64);
+        let distinct: std::collections::HashSet<_> = ran.iter().collect();
+        assert!(distinct.len() <= 4, "{} threads ran tasks", distinct.len());
+        assert!(ran.contains(&std::thread::current().id()), "the caller is one of the workers");
+    }
+
+    #[test]
+    fn parallelism_is_at_least_one_and_stable() {
+        assert!(parallelism() >= 1);
+        assert_eq!(parallelism(), parallelism());
+    }
+
+    #[test]
+    fn fan_out_returns_results_in_index_order_and_isolates_panics() {
+        let out = fan_out(9, |i| {
+            assert!(i != 4, "index 4 panics");
+            i * i
+        });
+        assert_eq!(out.len(), 9);
+        for (i, r) in out.into_iter().enumerate() {
+            match r {
+                Ok(v) => assert_eq!(v, i * i),
+                Err(_) => assert_eq!(i, 4, "only the panicking index fails"),
+            }
+        }
+        assert!(fan_out(0, |i| i).is_empty());
     }
 
     #[test]

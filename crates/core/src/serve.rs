@@ -54,6 +54,7 @@
 //! Two entry points: [`serve_all`] for a batch, and [`ServeHandle`] for
 //! incremental submit/collect.
 
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use mc_sync::{Arc, Mutex};
@@ -935,14 +936,19 @@ pub fn serve_all_observed(
 /// Incremental front-end over [`serve_all`]: submit requests one at a
 /// time, collect results by id. Submitted requests are batched until the
 /// first [`ServeHandle::collect`] (or explicit [`ServeHandle::flush`])
-/// forces execution; context sharing happens within a flush.
+/// forces execution; context sharing happens within a flush. The handle
+/// keeps an outcome only until it is collected, so its memory follows
+/// the uncollected requests, not every request it has served.
 pub struct ServeHandle {
     config: ServeConfig,
     /// Pending slots: admitted requests, or rejections already decided at
     /// submit time (queue full). Rejections keep their slot so ids stay
     /// submission indices.
     pending: Vec<Submission>,
-    outcomes: Vec<ServeOutcome>,
+    /// Requests executed so far: the id of the first pending request.
+    executed: usize,
+    /// Executed outcomes not yet collected, keyed by request id.
+    outcomes: HashMap<usize, ServeOutcome>,
     contexts: Vec<ContextStats>,
     overload: OverloadState,
     /// Cross-batch frozen-context cache ([`ServeConfig::cache`]); lives
@@ -964,7 +970,8 @@ impl ServeHandle {
             cache: config.cache.map(LmCache::new),
             config,
             pending: Vec::new(),
-            outcomes: Vec::new(),
+            executed: 0,
+            outcomes: HashMap::new(),
             contexts: Vec::new(),
             overload: OverloadState::new(),
             obs,
@@ -989,7 +996,7 @@ impl ServeHandle {
             _ => Ok(request),
         };
         self.pending.push(slot);
-        RequestId(self.outcomes.len() + self.pending.len() - 1)
+        RequestId(self.executed + self.pending.len() - 1)
     }
 
     /// Executes every pending request as one batch.
@@ -998,35 +1005,34 @@ impl ServeHandle {
             return;
         }
         let submissions = std::mem::take(&mut self.pending);
+        let base_id = self.executed;
+        self.executed += submissions.len();
         let (outcomes, contexts) = run_batch(
             submissions,
             &self.config,
             &self.overload,
             self.cache.as_ref(),
-            self.outcomes.len(),
+            base_id,
             &self.obs,
         );
-        self.outcomes.extend(outcomes);
+        self.outcomes.extend(outcomes.into_iter().map(|o| (o.id.0, o)));
         self.contexts.extend(contexts);
     }
 
     /// The outcome of a submitted request, flushing pending work if the
-    /// request has not run yet.
+    /// request has not run yet. The outcome moves out of the handle: each
+    /// id collects once.
     ///
     /// # Errors
     /// [`TsError::UnknownRequest`] when `id` was never returned by
-    /// [`ServeHandle::submit`]. The probe still flushes pending work
-    /// first, so a handle is never left half-executed by a bad lookup.
+    /// [`ServeHandle::submit`], or was already collected. The probe still
+    /// flushes pending work first, so a handle is never left
+    /// half-executed by a bad lookup.
     pub fn collect(&mut self, id: RequestId) -> Result<ServeOutcome> {
-        if id.0 >= self.outcomes.len() {
+        if id.0 >= self.executed {
             self.flush();
         }
-        self.outcomes.get(id.0).cloned().ok_or(TsError::UnknownRequest { id: id.0 })
-    }
-
-    /// Every outcome executed so far (submission order).
-    pub fn outcomes(&self) -> &[ServeOutcome] {
-        &self.outcomes
+        self.outcomes.remove(&id.0).ok_or(TsError::UnknownRequest { id: id.0 })
     }
 
     /// Context accounting across every flush so far.
@@ -1116,10 +1122,16 @@ mod tests {
         assert!(handle.collect(RequestId(2)).is_err(), "unsubmitted id must be rejected");
         let out_b = handle.collect(b).unwrap();
         assert_eq!(out_b.forecast.unwrap().len(), 5);
-        // Both ran in the flush triggered by the first collect.
-        assert_eq!(handle.outcomes().len(), 2);
+        assert_eq!(
+            handle.collect(b).unwrap_err(),
+            TsError::UnknownRequest { id: 1 },
+            "a collected outcome moves out of the handle"
+        );
+        // Both ran in the flush triggered by the first collect: `a` is
+        // waiting, and collecting it runs nothing new.
         let out_a = handle.collect(a).unwrap();
         assert_eq!(out_a.forecast.unwrap().len(), 4);
+        assert_eq!(handle.contexts().len(), 1);
         // A later submit starts a new batch with its own context.
         let c = handle.submit(request(6, MuxMethod::ValueInterleave, 3));
         assert_eq!(c, RequestId(2));
@@ -1285,16 +1297,18 @@ mod tests {
         let cold = serve_all(&reqs, &ServeConfig::with_workers(2));
         let mut handle = ServeHandle::new(cached_config(3));
         // Two flushes of the same batch: the second is fully warm.
-        for _ in 0..2 {
-            for r in &reqs {
-                handle.submit(r.clone());
-            }
-            handle.flush();
-        }
+        let ids: Vec<RequestId> = (0..2)
+            .flat_map(|_| {
+                let ids: Vec<RequestId> = reqs.iter().map(|r| handle.submit(r.clone())).collect();
+                handle.flush();
+                ids
+            })
+            .collect();
         let stats = handle.cache_stats().unwrap();
         assert_eq!((stats.misses, stats.hits), (2, 2));
-        for (flush, chunk) in handle.outcomes().chunks(reqs.len()).enumerate() {
-            for (cold_o, warm_o) in cold.outcomes.iter().zip(chunk) {
+        for (flush, chunk) in ids.chunks(reqs.len()).enumerate() {
+            for (cold_o, &id) in cold.outcomes.iter().zip(chunk) {
+                let warm_o = handle.collect(id).unwrap();
                 let c = cold_o.forecast.as_ref().unwrap();
                 let w = warm_o.forecast.as_ref().unwrap();
                 for (cc, wc) in c.columns().iter().zip(w.columns()) {
@@ -1353,7 +1367,7 @@ mod tests {
         let mut handle = ServeHandle::new(cached_config(2));
         handle.submit(request(4, MuxMethod::ValueInterleave, 1));
         handle.flush();
-        handle.submit(long.clone());
+        let grown_id = handle.submit(long.clone());
         handle.flush();
         let stats = handle.cache_stats().unwrap();
         assert_eq!(stats.refits, 1, "grown history must delta-update the cached ancestor");
@@ -1361,7 +1375,8 @@ mod tests {
         // Bit-identical to a cold fit of the grown history.
         let cold = serve_all(&[long], &ServeConfig::with_workers(2));
         let c = cold.outcomes[0].forecast.as_ref().unwrap();
-        let w = handle.outcomes()[1].forecast.as_ref().unwrap();
+        let warm = handle.collect(grown_id).unwrap();
+        let w = warm.forecast.as_ref().unwrap();
         for (cc, wc) in c.columns().iter().zip(w.columns()) {
             let cb: Vec<u64> = cc.iter().map(|v| v.to_bits()).collect();
             let wb: Vec<u64> = wc.iter().map(|v| v.to_bits()).collect();

@@ -1,6 +1,6 @@
 //! mc-lint: deny-by-default workspace invariant lints.
 //!
-//! Six rule families over the lexed token stream (see DESIGN.md §8):
+//! Seven rule families over the lexed token stream (see DESIGN.md §8):
 //!
 //! - **`no-unwrap`** — no `.unwrap()` / `.expect(..)` / `panic!` in
 //!   library code. Test spans (`#[cfg(test)]` items, `#[test]` functions)
@@ -28,6 +28,11 @@
 //!   the `mc-spec` runner — the one allowlisted seam — so every bench
 //!   bin stays a thin spec wrapper and its numbers stay comparable.
 //!   Binary targets are **not** exempt: the rule exists for them.
+//! - **`no-scoped-spawn`** — no `thread::scope` / `thread::spawn` /
+//!   `thread::Builder` outside the executor (`sched.rs`, allowlisted):
+//!   every fan-out goes through `sched::drain`, which caps its threads at
+//!   the hardware count and makes the caller one of the workers, so an
+//!   ad-hoc spawn site cannot bring back a thread per sample.
 //!
 //! The two scope-sensitive rules that used to live here —
 //! `no-direct-fit` and `single-construction` — migrated onto the
@@ -44,13 +49,14 @@ use crate::lexer::{lex, Kind, Token};
 
 /// Lint rule names, for reports and allowlist scoping (the analyze
 /// layer has its own set in [`crate::analyze::RULE_NAMES`]).
-pub const RULE_NAMES: [&str; 6] = [
+pub const RULE_NAMES: [&str; 7] = [
     "no-unwrap",
     "no-println",
     "no-wallclock",
     "no-direct-sync",
     "no-unbounded-queue",
     "no-adhoc-bench",
+    "no-scoped-spawn",
 ];
 
 /// Rule families, used for reporting and allowlist matching.
@@ -62,6 +68,7 @@ pub enum Rule {
     NoDirectSync,
     NoUnboundedQueue,
     NoAdhocBench,
+    NoScopedSpawn,
 }
 
 impl Rule {
@@ -74,6 +81,7 @@ impl Rule {
             Rule::NoDirectSync => "no-direct-sync",
             Rule::NoUnboundedQueue => "no-unbounded-queue",
             Rule::NoAdhocBench => "no-adhoc-bench",
+            Rule::NoScopedSpawn => "no-scoped-spawn",
         }
     }
 }
@@ -215,6 +223,7 @@ pub fn lint_file(path: &str, src: &str) -> Vec<Violation> {
         no_wallclock(path, &tokens, i, &mut out);
         no_direct_sync(path, &tokens, i, &mut out);
         no_unbounded_queue(path, &tokens, i, &mut out);
+        no_scoped_spawn(path, &tokens, i, &mut out);
     }
     out
 }
@@ -366,6 +375,43 @@ fn no_unbounded_queue(path: &str, tokens: &[Token], i: usize, out: &mut Vec<Viol
     }
 }
 
+/// Flags thread creation outside the executor: `thread::scope`,
+/// `thread::spawn` and `thread::Builder` paths, and `thread::{..}` use
+/// trees importing them. Fan-out belongs to `sched::drain`, which caps
+/// its workers at the hardware thread count and runs the caller as one
+/// of them; the executor itself is allowlisted.
+fn no_scoped_spawn(path: &str, tokens: &[Token], i: usize, out: &mut Vec<Violation>) {
+    if !tokens[i].is_ident("thread")
+        || !next_is_punct(tokens, i, ':')
+        || !tokens.get(i + 2).is_some_and(|t| t.is_punct(':'))
+    {
+        return;
+    }
+    let spawns = |t: &&Token| t.is_ident("scope") || t.is_ident("spawn") || t.is_ident("Builder");
+    let after = i + 3;
+    let flagged: Vec<&Token> = match tokens.get(after) {
+        Some(t) if spawns(&t) => vec![t],
+        Some(t) if t.is_punct('{') => match matching(tokens, after, '{', '}') {
+            Some(close) => tokens[after..close].iter().filter(spawns).collect(),
+            None => Vec::new(),
+        },
+        _ => Vec::new(),
+    };
+    for t in flagged {
+        let symbol = format!("thread::{}", t.text);
+        out.push(violation(
+            path,
+            t,
+            Rule::NoScopedSpawn,
+            &symbol,
+            format!(
+                "{symbol} outside the executor: fan out through sched::drain, which caps \
+                 threads at the hardware count and makes the caller a worker"
+            ),
+        ));
+    }
+}
+
 /// Flags direct engine/serve access in bench-land. The spec runner is
 /// the one sanctioned seam (allowlisted); everything else in
 /// `crates/bench/` and `crates/spec/` — bins very much included —
@@ -483,6 +529,17 @@ mod tests {
         // `observe_all` is a different identifier, not a match.
         let near = "fn main() { observe_all(&mut m, &p); }";
         assert!(lint_file("crates/spec/src/scenarios.rs", near).is_empty());
+    }
+
+    #[test]
+    fn thread_fan_out_is_flagged_in_path_and_use_tree_form() {
+        let src = "use std::thread::{self, scope};\nfn f() { std::thread::scope(|s| { s.spawn(|| ()); }); thread::spawn(|| ()); }\nfn ok() { let _ = std::thread::available_parallelism(); thread::sleep(d); }";
+        let v = lint_file("crates/demo/src/lib.rs", src);
+        let symbols: Vec<&str> = v.iter().map(|v| v.symbol.as_str()).collect();
+        assert_eq!(symbols, vec!["thread::scope", "thread::scope", "thread::spawn"]);
+        assert!(v.iter().all(|v| v.rule == Rule::NoScopedSpawn));
+        let test_src = "#[cfg(test)]\nmod tests { fn t() { std::thread::scope(|_| ()); } }";
+        assert!(lint_file("crates/demo/src/lib.rs", test_src).is_empty());
     }
 
     #[test]

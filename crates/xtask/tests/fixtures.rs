@@ -14,6 +14,7 @@ const WALLCLOCK_FIXTURE: &str = include_str!("fixtures/wallclock.rs");
 const SYNC_FIXTURE: &str = include_str!("fixtures/direct_sync.rs");
 const QUEUE_FIXTURE: &str = include_str!("fixtures/unbounded_queue.rs");
 const ADHOC_FIXTURE: &str = include_str!("fixtures/adhoc_bench.rs");
+const SPAWN_FIXTURE: &str = include_str!("fixtures/scoped_spawn.rs");
 
 fn known() -> Vec<&'static str> {
     xtask::known_rules()
@@ -105,6 +106,37 @@ fn queue_fixture_flags_imports_types_and_constructors_but_not_tests() {
     let (kept, stale) =
         allow.apply(lint_file("tests/fixtures/unbounded_queue.rs", QUEUE_FIXTURE), &RULE_NAMES);
     assert!(kept.is_empty() && stale.is_empty());
+}
+
+#[test]
+fn spawn_fixture_flags_thread_fan_out_but_not_tests() {
+    let got = shape(&lint_file("tests/fixtures/scoped_spawn.rs", SPAWN_FIXTURE));
+    assert_eq!(
+        got,
+        vec![
+            ("no-scoped-spawn", "thread::Builder".to_string(), 12),
+            ("no-scoped-spawn", "thread::scope".to_string(), 7),
+            ("no-scoped-spawn", "thread::spawn".to_string(), 4),
+        ]
+    );
+    // The executor is suppressed the way the workspace allowlist
+    // suppresses sched.rs — by named symbol, so a new kind of spawn
+    // there still needs its own entry.
+    let allow = Allowlist::parse(
+        "no-scoped-spawn tests/fixtures/scoped_spawn.rs thread::scope -- fixture exercise\n",
+        &known(),
+    )
+    .unwrap();
+    let (kept, stale) =
+        allow.apply(lint_file("tests/fixtures/scoped_spawn.rs", SPAWN_FIXTURE), &RULE_NAMES);
+    assert!(stale.is_empty());
+    assert_eq!(
+        shape(&kept),
+        vec![
+            ("no-scoped-spawn", "thread::Builder".to_string(), 12),
+            ("no-scoped-spawn", "thread::spawn".to_string(), 4),
+        ]
+    );
 }
 
 #[test]

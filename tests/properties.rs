@@ -578,3 +578,113 @@ proptest! {
         prop_assert_eq!(FaultProfile::parse(&profile.to_string()), Ok(profile));
     }
 }
+
+/// A `dims`-column history of `n` points drawn from `seed`: a sinusoid
+/// per column plus a seeded jitter, so every column has spread.
+fn fuzz_history(dims: usize, n: usize, seed: u64) -> MultivariateSeries {
+    let mut state = seed | 1;
+    let columns = (0..dims)
+        .map(|d| {
+            (0..n)
+                .map(|t| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    let jitter = (state >> 40) as f64 / (1u64 << 24) as f64;
+                    (d + 1) as f64 * (t as f64 * 0.7).sin() + jitter
+                })
+                .collect()
+        })
+        .collect();
+    let names = (0..dims).map(|d| format!("x{d}")).collect();
+    MultivariateSeries::from_columns(names, columns).unwrap()
+}
+
+/// Checks one decode of arbitrary continuation text: a typed error, or
+/// exactly `dims x horizon` values.
+fn assert_decode_is_well_shaped(
+    fitted: &dyn multicast_suite::core::codec::FittedCodec,
+    text: &str,
+    horizon: usize,
+) -> Result<(), TestCaseError> {
+    if let Ok(decoded) = fitted.decode(text, horizon) {
+        prop_assert_eq!(decoded.len(), fitted.dims(), "{:?}", text);
+        for column in &decoded {
+            prop_assert_eq!(column.len(), horizon, "{:?}", text);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Continuation decoding is total for the digit codecs (VI, VC and
+    /// DI): model text, whether fully arbitrary or drawn from the output
+    /// alphabet plus letters, decodes to a typed error or a well-shaped
+    /// forecast, never a panic.
+    #[test]
+    fn digit_codec_decode_is_total(
+        dims in 1usize..4,
+        n in 8usize..40,
+        seed in any::<u64>(),
+        horizon in 1usize..16,
+        wild in any::<String>(),
+        near in "[0-9a-z,]{0,90}",
+    ) {
+        use multicast_suite::core::codec::{Codec, DigitCodec};
+        let train = fuzz_history(dims, n, seed);
+        for method in MuxMethod::ALL {
+            let codec = DigitCodec { method, digits: 3, headroom: 0.15 };
+            let fitted = codec.fit(&train).unwrap();
+            for text in [wild.as_str(), near.as_str()] {
+                assert_decode_is_well_shaped(fitted.as_ref(), text, horizon)?;
+            }
+        }
+    }
+
+    /// The same totality for the SAX codec, over both alphabet kinds and
+    /// a range of segment lengths and alphabet sizes.
+    #[test]
+    fn sax_codec_decode_is_total(
+        dims in 1usize..4,
+        n in 8usize..40,
+        seed in any::<u64>(),
+        horizon in 1usize..16,
+        segment_len in 1usize..7,
+        size in 3usize..11,
+        wild in any::<String>(),
+        near in "[0-9a-z,]{0,90}",
+    ) {
+        use multicast_suite::core::codec::{Codec, SaxCodec};
+        let train = fuzz_history(dims, n, seed);
+        for kind in [SaxAlphabetKind::Alphabetic, SaxAlphabetKind::Digital] {
+            let alphabet = SaxAlphabet::new(kind, size).unwrap();
+            let fitted = SaxCodec { sax: SaxConfig { segment_len, alphabet } }.fit(&train).unwrap();
+            for text in [wild.as_str(), near.as_str()] {
+                assert_decode_is_well_shaped(fitted.as_ref(), text, horizon)?;
+            }
+        }
+    }
+
+    /// `SaxEncoder::parse` is total: it yields `None` or one in-alphabet
+    /// index per character, and it inverts `to_string` on any word.
+    #[test]
+    fn sax_parse_is_total_and_inverts_to_string(
+        wild in any::<String>(),
+        near in "[0-9a-z]{0,40}",
+        size in 3usize..11,
+        word in prop::collection::vec(0usize..64, 0..30),
+    ) {
+        for kind in [SaxAlphabetKind::Alphabetic, SaxAlphabetKind::Digital] {
+            let alphabet = SaxAlphabet::new(kind, size).unwrap();
+            let encoder = SaxEncoder::new(SaxConfig { segment_len: 2, alphabet });
+            for text in [wild.as_str(), near.as_str()] {
+                if let Some(symbols) = encoder.parse(text) {
+                    prop_assert_eq!(symbols.len(), text.chars().count(), "{:?}", text);
+                    prop_assert!(symbols.iter().all(|&s| s < size), "{:?} -> {:?}", text, symbols);
+                }
+            }
+            let word: Vec<usize> = word.iter().map(|&s| s % size).collect();
+            prop_assert_eq!(encoder.parse(&encoder.to_string(&word)), Some(word));
+        }
+    }
+}

@@ -469,12 +469,15 @@ fn collect_unknown_id_is_typed_and_still_flushes() {
     let err = handle.collect(RequestId(17)).unwrap_err();
     assert_eq!(err, TsError::UnknownRequest { id: 17 });
     assert_eq!(
-        handle.outcomes().len(),
+        handle.contexts().len(),
         1,
         "the unknown-id probe must flush pending work, not strand it"
     );
-    // The flushed request is collectible without re-running anything.
+    // The flushed request is collectible without re-running anything,
+    // and exactly once: the outcome moves out of the handle.
     assert!(handle.collect(id).unwrap().forecast.is_ok());
+    assert_eq!(handle.contexts().len(), 1);
+    assert_eq!(handle.collect(id).unwrap_err(), TsError::UnknownRequest { id: id.0 });
     // A fresh handle with nothing pending: same typed error, no flush.
     let mut empty = ServeHandle::new(ServeConfig::default());
     assert_eq!(empty.collect(RequestId(0)).unwrap_err(), TsError::UnknownRequest { id: 0 });
