@@ -20,7 +20,7 @@
 //! recording races, shed-settlement wakeups) exhaustively.
 
 use mc_lm::presets::ModelPreset;
-use mc_obs::{point_span, EventKind, Recorder, SpanKind, TraceEvent};
+use mc_obs::{point_span, Attrs, EventKind, Recorder, SpanKind, TraceEvent};
 use mc_sync::atomic::{AtomicU64, Ordering};
 use mc_sync::{Arc, Mutex};
 use mc_tslib::error::TsError;
@@ -125,7 +125,7 @@ pub fn record_shed(obs: &dyn Recorder, req: u64, priority: Priority) {
         return;
     }
     obs.record(TraceEvent { req, ctx: 0, kind: EventKind::Shed { priority: priority.rank() } });
-    point_span(obs, req, SpanKind::Shed);
+    point_span(obs, req, SpanKind::Shed, Attrs::Shed { priority: priority.rank() });
 }
 
 /// When a per-preset circuit breaker trips and how long it stays open.

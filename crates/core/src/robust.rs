@@ -32,7 +32,8 @@ use mc_baselines::fallback::FallbackForecaster;
 use mc_lm::cost::InferenceCost;
 use mc_lm::sampler::SamplerConfig;
 use mc_obs::{
-    AttemptClass, Counter, EventKind, MetricsRegistry, NoopRecorder, Recorder, TraceEvent,
+    point_span, AttemptClass, Attrs, Counter, EventKind, MetricsRegistry, NoopRecorder, Recorder,
+    SpanKind, TraceEvent,
 };
 use mc_sync::Mutex;
 
@@ -609,6 +610,29 @@ pub enum AttemptOutcome {
     Panicked(String),
 }
 
+impl AttemptOutcome {
+    /// The attributes of this attempt's `attempt` span close: how it ended,
+    /// its defect count and its cost (zero for panicked and infra
+    /// attempts, which never completed a draw).
+    pub fn attrs(&self) -> Attrs {
+        let (outcome, defects, cost) = match self {
+            AttemptOutcome::Done { cost, defects, .. } => {
+                let fatal = defects.iter().any(SampleDefect::is_fatal);
+                let class = if fatal { AttemptClass::Defective } else { AttemptClass::Valid };
+                (class, defects.len() as u32, *cost)
+            }
+            AttemptOutcome::Infra(_) => (AttemptClass::Infra, 0, InferenceCost::default()),
+            AttemptOutcome::Panicked(_) => (AttemptClass::Panicked, 1, InferenceCost::default()),
+        };
+        Attrs::Attempt {
+            outcome,
+            defects,
+            generated_tokens: cost.generated_tokens,
+            work_units: cost.work_units,
+        }
+    }
+}
+
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -802,6 +826,43 @@ pub fn record_attempt(
                     work_units: 0,
                 },
             });
+        }
+    }
+}
+
+/// Emits the point spans one attempt outcome implies: a `defect` span
+/// per observed defect, and a panicked attempt's `defect` plus
+/// `panic_isolated` spans. Called from the executor's one attempt step
+/// right after the attempt's attributed close, so the engine ladder and
+/// the serve pool record the same facts for the same outcomes. No-op when
+/// `obs` is disabled.
+pub fn record_defects(
+    obs: &dyn Recorder,
+    req: u64,
+    sample: u32,
+    attempt: u32,
+    outcome: &AttemptOutcome,
+) {
+    if !obs.enabled() {
+        return;
+    }
+    let defect = SpanKind::Defect { sample, attempt };
+    match outcome {
+        AttemptOutcome::Done { defects, .. } => {
+            for d in defects {
+                let attrs = Attrs::Defect { class: d.class(), fatal: d.is_fatal() };
+                point_span(obs, req, defect, attrs);
+            }
+        }
+        AttemptOutcome::Infra(_) => {}
+        AttemptOutcome::Panicked(_) => {
+            point_span(
+                obs,
+                req,
+                defect,
+                Attrs::Defect { class: DefectClass::Panicked, fatal: true },
+            );
+            point_span(obs, req, SpanKind::PanicIsolated { sample, attempt }, Attrs::None);
         }
     }
 }

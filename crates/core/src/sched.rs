@@ -51,14 +51,15 @@ use std::sync::OnceLock;
 
 use mc_lm::cost::InferenceCost;
 use mc_obs::{
-    mix, point_span, EventKind, NoopRecorder, Recorder, SpanEvent, SpanGuard, SpanKind, TraceEvent,
+    mix, point_span, Attrs, EventKind, NoopRecorder, Recorder, SpanEvent, SpanGuard, SpanKind,
+    TraceEvent,
 };
 use mc_sync::{Condvar, Mutex};
 use mc_tslib::error::Result;
 
 use crate::robust::{
-    execute_attempt, record_attempt, virtual_index, AttemptDisposition, AttemptOutcome,
-    RobustPolicy, RobustProgress, SampleExpectations, SampleSource, TraceScope,
+    execute_attempt, record_attempt, record_defects, virtual_index, AttemptDisposition,
+    AttemptOutcome, RobustPolicy, RobustProgress, SampleExpectations, SampleSource, TraceScope,
 };
 
 /// A FIFO task queue with settlement-counted termination, an optional
@@ -244,7 +245,8 @@ impl<T> TaskQueue<T> {
             obs.record(TraceEvent { req: 0, ctx: 0, kind: EventKind::QueueWait { ticks } });
             let id = mix(start, SpanKind::QueueWait.index() as u64);
             obs.span_at(SpanEvent::open_with_id(id, 0, SpanKind::QueueWait), start, wall_start);
-            obs.span(SpanEvent::close_with_id(id, 0, SpanKind::QueueWait));
+            let close = SpanEvent::close_with_id(id, 0, SpanKind::QueueWait);
+            obs.span(close.with(Attrs::Wait { ticks }));
         }
         task
     }
@@ -357,16 +359,17 @@ pub(crate) fn run_attempt(
     };
     let TraceScope { obs, req, ctx } = ladder.trace;
     let (s, a) = (sample as u32, attempt as u32);
-    let outcome = {
-        let _attempt = SpanGuard::open(obs, req, SpanKind::Attempt { sample: s, attempt: a });
-        let traced_draw = |b| {
-            let _draw = SpanGuard::open(obs, req, SpanKind::Draw { sample: s, attempt: a });
-            draw(vi, b)
-        };
-        execute_attempt(ladder.source, sample, attempt, ladder.expect, budget, traced_draw, decode)
+    let attempt_span = SpanGuard::open(obs, req, SpanKind::Attempt { sample: s, attempt: a });
+    let traced_draw = |b| {
+        let _draw = SpanGuard::open(obs, req, SpanKind::Draw { sample: s, attempt: a });
+        draw(vi, b)
     };
+    let outcome =
+        execute_attempt(ladder.source, sample, attempt, ladder.expect, budget, traced_draw, decode);
+    attempt_span.close(outcome.attrs());
     on_outcome(&outcome);
     record_attempt(obs, req, ctx, sample, attempt, &outcome);
+    record_defects(obs, req, s, a, &outcome);
     let disposition = ladder.progress.lock().expect("request lock").apply(sample, attempt, outcome);
     let AttemptDisposition::Retry { attempt } = disposition else {
         queue.settle_one();
@@ -376,11 +379,12 @@ pub(crate) fn run_attempt(
     if obs.enabled() {
         let retry = attempt as u32;
         obs.record(TraceEvent { req, ctx, kind: EventKind::Retry { sample: s, attempt: retry } });
-        point_span(obs, req, SpanKind::Retry { sample: s, attempt: retry });
+        point_span(obs, req, SpanKind::Retry { sample: s, attempt: retry }, Attrs::None);
         if delay > 0 {
             let kind = EventKind::Backoff { sample: s, attempt: retry, delay: delay as u32 };
             obs.record(TraceEvent { req, ctx, kind });
-            point_span(obs, req, SpanKind::Backoff { sample: s, attempt: retry });
+            let attrs = Attrs::Backoff { delay: delay as u32 };
+            point_span(obs, req, SpanKind::Backoff { sample: s, attempt: retry }, attrs);
         }
     }
     queue.push_deferred(Task { attempt, ..task }, delay);

@@ -70,8 +70,8 @@ use mc_lm::tokenizer::{CharTokenizer, Tokenizer};
 use mc_lm::vocab::Vocab;
 
 use mc_obs::{
-    mix, point_span, EventKind, Fingerprint, NoopRecorder, Recorder, SpanEvent, SpanKind,
-    TraceEvent,
+    mix, point_span, Attrs, EventKind, Fingerprint, NoopRecorder, Recorder, SpanEvent, SpanGuard,
+    SpanKind, TraceEvent,
 };
 use mc_sax::encoder::SaxConfig;
 
@@ -429,6 +429,7 @@ fn admit(
                             kind: EventKind::QuotaExhausted { client: request.client },
                         });
                     }
+                    point_span(obs, fp, SpanKind::Quota, Attrs::Quota { client: request.client });
                     return Admission::Reject(ServeDefect::QuotaExhausted {
                         client: request.client,
                         spent,
@@ -442,6 +443,7 @@ fn admit(
                     if obs.enabled() {
                         obs.record(TraceEvent { req: fp, ctx: 0, kind: EventKind::BreakerReject });
                     }
+                    point_span(obs, fp, SpanKind::Breaker, Attrs::BreakerReject);
                     return Admission::Reject(ServeDefect::BreakerOpen {
                         preset: request.config.preset,
                         trips: breaker.trips(),
@@ -525,6 +527,12 @@ fn fit_context(
                     ctx: ctx_fp,
                     kind: EventKind::CacheEvict { evictions: evicted },
                 });
+                point_span(
+                    obs.as_ref(),
+                    ctx_fp,
+                    SpanKind::CacheEvict,
+                    Attrs::Evict { evictions: evicted },
+                );
             }
             let backend = PreparedBackend::from_frozen(shared, spec)?.meter_observed(
                 ledger,
@@ -605,6 +613,7 @@ fn prepare(
                             kind: EventKind::FitDedupHit,
                         });
                     }
+                    point_span(obs.as_ref(), contexts[pos].1.fp, SpanKind::Dedup, Attrs::None);
                     pos
                 }
                 None => {
@@ -620,8 +629,12 @@ fn prepare(
                     if obs.enabled() {
                         let open = SpanEvent::open(ctx_fp, SpanKind::ContextFit);
                         obs.span_at(open, fit_start, fit_wall);
-                        obs.span(SpanEvent::close(ctx_fp, SpanKind::ContextFit));
                         let prompt = backend.prompt_cost();
+                        let attrs = Attrs::Fit {
+                            prompt_tokens: prompt.prompt_tokens,
+                            work_units: prompt.work_units,
+                        };
+                        obs.span(SpanEvent::close(ctx_fp, SpanKind::ContextFit).with(attrs));
                         obs.record(TraceEvent {
                             req: 0,
                             ctx: ctx_fp,
@@ -643,6 +656,7 @@ fn prepare(
             if obs.enabled() {
                 obs.record(TraceEvent { req: fp, ctx: ctx_fp, kind: EventKind::ContextJoin });
             }
+            point_span(obs.as_ref(), fp, SpanKind::Join, Attrs::Join { ctx: ctx_fp });
             let samples = request.config.samples.max(1);
             let progress = RobustProgress::new(samples, request.config.robust)?;
             let breaker = config.breaker.map(|_| overload.breaker(request.config.preset));
@@ -767,15 +781,18 @@ fn run_batch(
         for (_, breaker) in overload.breakers() {
             let Some(transition) = breaker.settle_flush(policy) else { continue };
             if obs.enabled() {
-                let kind = match transition {
-                    BreakerTransition::Tripped { trips } => {
-                        EventKind::BreakerTrip { trips: trips as u32 }
-                    }
-                    BreakerTransition::Closed { trips } => {
-                        EventKind::BreakerClose { trips: trips as u32 }
-                    }
+                let (kind, attrs) = match transition {
+                    BreakerTransition::Tripped { trips } => (
+                        EventKind::BreakerTrip { trips: trips as u32 },
+                        Attrs::BreakerTrip { trips: trips as u32 },
+                    ),
+                    BreakerTransition::Closed { trips } => (
+                        EventKind::BreakerClose { trips: trips as u32 },
+                        Attrs::BreakerClose { trips: trips as u32 },
+                    ),
                 };
                 obs.record(TraceEvent { req: 0, ctx: 0, kind });
+                point_span(obs.as_ref(), 0, SpanKind::Breaker, attrs);
             }
         }
     }
@@ -861,7 +878,6 @@ fn finalize(
                         met: run.quorum_met,
                     },
                 });
-                point_span(obs, st.fp, SpanKind::Quorum);
                 if !run.quorum_met
                     && st.request.config.robust.fallback == FallbackPolicy::SeasonalNaive
                 {
@@ -870,9 +886,16 @@ fn finalize(
                         ctx: st.ctx_fp,
                         kind: EventKind::Fallback,
                     });
-                    point_span(obs, st.fp, SpanKind::Fallback);
                 }
             }
+            let quorum = SpanGuard::open(obs, st.fp, SpanKind::Quorum);
+            let policy = st.request.config.robust;
+            let attrs = Attrs::Quorum {
+                valid: run.report.valid_samples as u32,
+                required: policy.required_valid(st.samples) as u32,
+                met: run.quorum_met,
+            };
+            let fallback = !run.quorum_met && policy.fallback == FallbackPolicy::SeasonalNaive;
             let engine_run = EngineRun::new(run, st.request.config, cost);
             let forecast = catch_unwind(AssertUnwindSafe(|| {
                 engine_run.resolve(&st.request.train, st.request.horizon)
@@ -880,6 +903,10 @@ fn finalize(
             .unwrap_or_else(|_| {
                 Err(pipeline_error("serve-resolve", format!("request {} panicked", id.0)))
             });
+            quorum.close(attrs);
+            if fallback {
+                point_span(obs, st.fp, SpanKind::Fallback, Attrs::None);
+            }
             let cost = engine_run.cost();
             ServeOutcome {
                 id,
@@ -991,6 +1018,7 @@ impl ServeHandle {
                 if self.obs.enabled() {
                     self.obs.record(TraceEvent { req: 0, ctx: 0, kind: EventKind::QueueFull });
                 }
+                point_span(self.obs.as_ref(), 0, SpanKind::QueueFull, Attrs::None);
                 Err(ServeDefect::QueueFull { cap })
             }
             _ => Ok(request),

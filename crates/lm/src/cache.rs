@@ -33,7 +33,7 @@
 
 use crate::model::FrozenLm;
 use crate::vocab::TokenId;
-use mc_obs::{mix, Recorder, SpanEvent, SpanKind};
+use mc_obs::{mix, Attrs, Recorder, SpanEvent, SpanKind};
 use mc_sync::atomic::{AtomicU64, Ordering};
 use mc_sync::{Arc, Mutex};
 
@@ -269,7 +269,14 @@ impl LmCache {
         let id = mix(obs.now(), SpanKind::CacheLookup.index() as u64);
         obs.span(SpanEvent::open_with_id(id, fingerprint, SpanKind::CacheLookup));
         let found = self.acquire(family, fingerprint, prompt);
-        obs.span(SpanEvent::close_with_id(id, fingerprint, SpanKind::CacheLookup));
+        let attrs = match &found {
+            Found::Hit { .. } => Attrs::CacheHit,
+            Found::Refit { epoch, appended, .. } => {
+                Attrs::CacheRefit { appended: *appended as u64, epoch: *epoch }
+            }
+            Found::Miss => Attrs::CacheMiss,
+        };
+        obs.span(SpanEvent::close_with_id(id, fingerprint, SpanKind::CacheLookup).with(attrs));
         found
     }
 

@@ -16,7 +16,7 @@
 use mc_sync::atomic::{AtomicU64, Ordering};
 use mc_sync::Arc;
 
-use mc_obs::{mix, EventKind, NoopRecorder, Recorder, SpanEvent, SpanKind, TraceEvent};
+use mc_obs::{mix, Attrs, EventKind, NoopRecorder, Recorder, SpanEvent, SpanKind, TraceEvent};
 
 use crate::cost::InferenceCost;
 use crate::model::{DecodeSession, FrozenLm};
@@ -186,7 +186,12 @@ impl Drop for MeteredSession<'_> {
             });
         }
         if let Some(id) = self.span {
-            self.recorder.span(SpanEvent::close_with_id(id, self.ctx, SpanKind::Session));
+            let attrs = Attrs::Session {
+                generated_tokens: cost.generated_tokens,
+                work_units: cost.work_units,
+            };
+            self.recorder
+                .span(SpanEvent::close_with_id(id, self.ctx, SpanKind::Session).with(attrs));
         }
     }
 }

@@ -29,59 +29,7 @@
 //! `defect` events carry it, the metrics registry counts it per class,
 //! and `multicast-core` re-exports it for its defect reports.
 
-taxonomy! {
-    /// Payload-free kind of a sample defect, for counting and reporting.
-    ///
-    /// `multicast-core` classifies each decoded continuation's defects
-    /// into these classes and re-exports the type; the metrics registry
-    /// keeps one counter slot per class ([`DefectClass::index`]).
-    pub enum DefectClass {
-        /// Generation stopped before emitting every separator.
-        Truncated => "truncated",
-        /// A group's character count differs from the serialization width
-        /// (repaired in place by the lenient demultiplexer).
-        WrongGroupWidth => "wrong-width",
-        /// A group of a digit-serialized stream contains non-digit
-        /// characters.
-        NonNumericGroup => "non-numeric",
-        /// A symbol outside the permitted output alphabet (SAX streams).
-        OutOfBandCode => "out-of-band",
-        /// A decoded value is NaN or infinite after descaling.
-        NonFinite => "non-finite",
-        /// The decoded sample does not have the `dims x horizon` shape.
-        ShapeMismatch => "shape",
-        /// The sample's draw or decode panicked and was isolated.
-        Panicked => "panic",
-        /// The sample's deadline budget ran out before a draw could start.
-        DeadlineExpired => "deadline",
-    }
-}
-
-/// How one `(sample, attempt)` draw ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttemptClass {
-    /// Decoded cleanly (possibly with repaired, non-fatal defects).
-    Valid,
-    /// Completed but fatally defective — the sample retries or settles
-    /// invalid.
-    Defective,
-    /// An infrastructure error failed the whole run.
-    Infra,
-    /// The draw or decode panicked and was isolated.
-    Panicked,
-}
-
-impl AttemptClass {
-    /// Stable name for exports.
-    pub fn name(self) -> &'static str {
-        match self {
-            AttemptClass::Valid => "valid",
-            AttemptClass::Defective => "defective",
-            AttemptClass::Infra => "infra",
-            AttemptClass::Panicked => "panicked",
-        }
-    }
-}
+use crate::attrs::{AttemptClass, DefectClass};
 
 /// One serve-path happening, with its numeric payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

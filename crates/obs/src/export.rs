@@ -20,13 +20,15 @@
 //! denied in this file, so a new kind fails the build until it has an
 //! export arm.
 
-#![deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+#![allow(clippy::wildcard_enum_match_arm)]
+#![deny(clippy::match_wildcard_for_single_variants)]
 
 use std::fmt::Write;
 
+use crate::attrs::Attrs;
 use crate::event::{EventKind, TraceEvent};
 use crate::record::{ClockMode, Stamped};
-use crate::span::{SpanEvent, SpanPhase, StampedSpan};
+use crate::span::{SpanEvent, SpanKind, SpanPhase, StampedSpan};
 
 /// Renders buffered events as JSONL in the given mode.
 pub fn to_jsonl(events: &[Stamped], mode: ClockMode) -> String {
@@ -130,6 +132,71 @@ fn body(event: &TraceEvent) -> String {
     s
 }
 
+/// Differential check (transitional): projects the span record onto the
+/// canonical event rows it replaces — one row per fact record.
+pub fn project_events(spans: &[StampedSpan]) -> String {
+    let joins: std::collections::HashMap<u64, u64> = spans
+        .iter()
+        .filter_map(|s| match (s.span.kind, s.span.attrs) {
+            (SpanKind::Join, Attrs::Join { ctx }) => Some((s.span.req, ctx)),
+            _ => None,
+        })
+        .collect();
+    let events: Vec<Stamped> = spans
+        .iter()
+        .filter(|s| s.span.phase == SpanPhase::Close && s.span.kind.deterministic())
+        .filter_map(|s| {
+            let req = s.span.req;
+            let ctx = joins.get(&req).copied().unwrap_or(0);
+            let (sample, attempt) = s.span.kind.coords();
+            let (req, ctx, kind) = match (s.span.kind, s.span.attrs) {
+                (
+                    SpanKind::Attempt { .. },
+                    Attrs::Attempt { outcome, defects, generated_tokens, work_units },
+                ) => (
+                    req,
+                    ctx,
+                    EventKind::Attempt {
+                        sample,
+                        attempt,
+                        outcome,
+                        defects,
+                        generated_tokens,
+                        work_units,
+                    },
+                ),
+                (SpanKind::ContextFit, Attrs::Fit { prompt_tokens, work_units }) => {
+                    (0, req, EventKind::ContextFit { prompt_tokens, work_units })
+                }
+                (SpanKind::Quorum, Attrs::Quorum { valid, required, met }) => {
+                    (req, ctx, EventKind::QuorumResolve { valid, required, met })
+                }
+                (SpanKind::Retry { .. }, _) => (req, ctx, EventKind::Retry { sample, attempt }),
+                (SpanKind::Backoff { .. }, Attrs::Backoff { delay }) => {
+                    (req, ctx, EventKind::Backoff { sample, attempt, delay })
+                }
+                (SpanKind::Fallback, _) => (req, ctx, EventKind::Fallback),
+                (SpanKind::Shed, Attrs::Shed { priority }) => {
+                    (req, 0, EventKind::Shed { priority })
+                }
+                (SpanKind::Defect { .. }, Attrs::Defect { class, fatal }) => {
+                    (req, ctx, EventKind::Defect { sample, attempt, class, fatal })
+                }
+                (SpanKind::PanicIsolated { .. }, _) => {
+                    (req, ctx, EventKind::PanicIsolated { sample, attempt })
+                }
+                (SpanKind::Join, Attrs::Join { ctx }) => (req, ctx, EventKind::ContextJoin),
+                (SpanKind::Quota, Attrs::Quota { client }) => {
+                    (req, 0, EventKind::QuotaExhausted { client })
+                }
+                _ => return None,
+            };
+            Some(Stamped { t: 0, event: TraceEvent { req, ctx, kind } })
+        })
+        .collect();
+    canonical(&events)
+}
+
 /// Renders buffered span halves as JSONL in the given mode.
 ///
 /// - **Canonical** ([`ClockMode::Logical`]) — scheduler-scoped kinds are
@@ -177,9 +244,10 @@ fn emission_order_spans(spans: &[StampedSpan]) -> String {
     out
 }
 
-/// The span's JSON fields after the stamps (no surrounding braces).
+/// The span's JSON fields after the stamps (no surrounding braces):
+/// identity, lineage, kind and phase, then the kind's coordinates, then
+/// its attributes.
 fn span_body(span: &SpanEvent) -> String {
-    use crate::span::SpanKind;
     let mut s = String::with_capacity(128);
     let _ = write!(
         s,
@@ -198,21 +266,62 @@ fn span_body(span: &SpanEvent) -> String {
         | SpanKind::Shed
         | SpanKind::QueueWait
         | SpanKind::CacheLookup
-        | SpanKind::Session => {}
+        | SpanKind::Session
+        | SpanKind::Quota
+        | SpanKind::Join
+        | SpanKind::Dedup
+        | SpanKind::QueueFull
+        | SpanKind::Breaker
+        | SpanKind::CacheEvict => {}
         SpanKind::Attempt { sample, attempt }
         | SpanKind::Draw { sample, attempt }
         | SpanKind::Retry { sample, attempt }
-        | SpanKind::Backoff { sample, attempt } => {
+        | SpanKind::Backoff { sample, attempt }
+        | SpanKind::Defect { sample, attempt }
+        | SpanKind::PanicIsolated { sample, attempt } => {
             let _ = write!(s, ",\"sample\":{sample},\"attempt\":{attempt}");
         }
     }
+    let _ = match span.attrs {
+        Attrs::None => Ok(()),
+        Attrs::Attempt { outcome, defects, generated_tokens, work_units } => write!(
+            s,
+            ",\"outcome\":\"{}\",\"defects\":{defects},\"generated_tokens\":{generated_tokens},\"work_units\":{work_units}",
+            outcome.name()
+        ),
+        Attrs::Fit { prompt_tokens, work_units } => {
+            write!(s, ",\"prompt_tokens\":{prompt_tokens},\"work_units\":{work_units}")
+        }
+        Attrs::Session { generated_tokens, work_units } => {
+            write!(s, ",\"generated_tokens\":{generated_tokens},\"work_units\":{work_units}")
+        }
+        Attrs::Quorum { valid, required, met } => {
+            write!(s, ",\"valid\":{valid},\"required\":{required},\"met\":{met}")
+        }
+        Attrs::Backoff { delay } => write!(s, ",\"delay\":{delay}"),
+        Attrs::Shed { priority } => write!(s, ",\"priority\":{priority}"),
+        Attrs::Defect { class, fatal } => {
+            write!(s, ",\"class\":{},\"fatal\":{fatal}", class.index())
+        }
+        Attrs::Join { ctx } => write!(s, ",\"ctx\":\"{ctx:016x}\""),
+        Attrs::Quota { client } => write!(s, ",\"client\":{client}"),
+        Attrs::Wait { ticks } => write!(s, ",\"ticks\":{ticks}"),
+        Attrs::CacheHit => write!(s, ",\"cache\":\"hit\""),
+        Attrs::CacheMiss => write!(s, ",\"cache\":\"miss\""),
+        Attrs::CacheRefit { appended, epoch } => {
+            write!(s, ",\"cache\":\"refit\",\"appended\":{appended},\"epoch\":{epoch}")
+        }
+        Attrs::Evict { evictions } => write!(s, ",\"evictions\":{evictions}"),
+        Attrs::BreakerTrip { trips } => write!(s, ",\"breaker\":\"trip\",\"trips\":{trips}"),
+        Attrs::BreakerClose { trips } => write!(s, ",\"breaker\":\"close\",\"trips\":{trips}"),
+        Attrs::BreakerReject => write!(s, ",\"breaker\":\"reject\""),
+    };
     s
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{AttemptClass, DefectClass};
+    use crate::attrs::{AttemptClass, DefectClass};
 
     fn stamped(t: u64, req: u64, kind: EventKind) -> Stamped {
         Stamped { t, event: TraceEvent { req, ctx: 7, kind } }

@@ -100,6 +100,7 @@ macro_rules! taxonomy {
     };
 }
 
+pub mod attrs;
 pub mod clock;
 pub mod event;
 pub mod export;
@@ -108,8 +109,9 @@ pub mod metrics;
 pub mod record;
 pub mod span;
 
+pub use attrs::{AttemptClass, Attrs, DefectClass};
 pub use clock::{Clock, LogicalClock, WallClock};
-pub use event::{AttemptClass, DefectClass, EventKind, TraceEvent};
+pub use event::{EventKind, TraceEvent};
 pub use fingerprint::{mix, Fingerprint};
 pub use metrics::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use record::{ClockMode, NoopRecorder, Observer, Recorder, Stamped};

@@ -20,7 +20,9 @@
 
 use mc_sync::atomic::{AtomicU64, Ordering};
 
-use crate::event::{AttemptClass, DefectClass, EventKind, TraceEvent};
+use crate::attrs::Attrs;
+use crate::attrs::{AttemptClass, DefectClass};
+use crate::event::{EventKind, TraceEvent};
 use crate::span::{SpanEvent, SpanKind, SpanPhase, SPAN_KINDS};
 
 taxonomy! {
@@ -289,18 +291,104 @@ impl MetricsRegistry {
         }
     }
 
-    /// Folds one span half into the counters: open/close totals plus a
-    /// per-kind open count in the kind's [`SpanKind::index`] slot;
-    /// [`crate::record::Observer`] calls it for every span.
+    /// Folds one span half into the counters and histograms. This is the
+    /// single routing table from the span record to metrics;
+    /// [`crate::record::Observer`] calls it for every span half. An open
+    /// half counts its kind ([`SpanKind::index`] slot); a close half
+    /// routes its kind and [`Attrs`] — one fact record per close.
     pub fn record_span(&self, span: &SpanEvent) {
-        match span.phase {
-            SpanPhase::Open => self.incr(Counter::SpanOpens),
-            SpanPhase::Close => {
-                self.incr(Counter::SpanCloses);
-                return;
-            }
+        if span.phase == SpanPhase::Open {
+            self.incr(Counter::SpanOpens);
+            self.span_opens[span.kind.index()].fetch_add(1, Ordering::Relaxed);
+            return;
         }
-        self.span_opens[span.kind.index()].fetch_add(1, Ordering::Relaxed);
+        self.incr(Counter::SpanCloses);
+        match (span.kind, span.attrs) {
+            (
+                SpanKind::Attempt { .. },
+                Attrs::Attempt { outcome, generated_tokens, work_units, .. },
+            ) => {
+                self.incr(Counter::Attempts);
+                self.incr(match outcome {
+                    AttemptClass::Valid => Counter::AttemptsValid,
+                    AttemptClass::Defective => Counter::AttemptsDefective,
+                    AttemptClass::Infra => Counter::AttemptsInfra,
+                    AttemptClass::Panicked => Counter::AttemptsPanicked,
+                });
+                self.add(Counter::GeneratedTokens, generated_tokens);
+                self.add(Counter::WorkUnits, work_units);
+                self.attempt_tokens.observe(generated_tokens);
+            }
+            (SpanKind::ContextFit, Attrs::Fit { prompt_tokens, .. }) => {
+                self.incr(Counter::ContextFits);
+                self.add(Counter::PromptTokens, prompt_tokens);
+            }
+            (SpanKind::Session, Attrs::Session { generated_tokens, work_units }) => {
+                self.incr(Counter::Sessions);
+                self.add(Counter::SessionTokens, generated_tokens);
+                self.add(Counter::SessionWork, work_units);
+            }
+            (SpanKind::Quorum, Attrs::Quorum { met, .. }) => {
+                self.incr(Counter::QuorumResolves);
+                if !met {
+                    self.incr(Counter::QuorumFailures);
+                }
+            }
+            (SpanKind::Defect { .. }, Attrs::Defect { class, .. }) => {
+                self.incr(Counter::Defects);
+                self.add_defect(class);
+            }
+            (SpanKind::QueueWait, Attrs::Wait { ticks }) => {
+                self.incr(Counter::QueueWaits);
+                self.queue_wait.observe(ticks);
+            }
+            (SpanKind::CacheLookup, Attrs::CacheHit) => self.incr(Counter::CacheHits),
+            (SpanKind::CacheLookup, Attrs::CacheMiss) => self.incr(Counter::CacheMisses),
+            (SpanKind::CacheLookup, Attrs::CacheRefit { .. }) => self.incr(Counter::CacheRefits),
+            (SpanKind::CacheEvict, Attrs::Evict { evictions }) => {
+                self.add(Counter::CacheEvictions, evictions);
+            }
+            (SpanKind::Breaker, Attrs::BreakerTrip { .. }) => self.incr(Counter::BreakerTrips),
+            (SpanKind::Breaker, Attrs::BreakerClose { .. }) => self.incr(Counter::BreakerCloses),
+            (SpanKind::Breaker, Attrs::BreakerReject) => self.incr(Counter::BreakerRejections),
+            (SpanKind::Retry { .. }, _) => self.incr(Counter::Retries),
+            (SpanKind::Backoff { .. }, _) => self.incr(Counter::Backoffs),
+            (SpanKind::Fallback, _) => self.incr(Counter::Fallbacks),
+            (SpanKind::Shed, _) => self.incr(Counter::Sheds),
+            (SpanKind::Quota, _) => self.incr(Counter::QuotaRejections),
+            (SpanKind::Join, _) => self.incr(Counter::ContextJoins),
+            (SpanKind::PanicIsolated { .. }, _) => self.incr(Counter::PanicsIsolated),
+            (SpanKind::Dedup, _) => self.incr(Counter::DedupHits),
+            (SpanKind::QueueFull, _) => self.incr(Counter::QueueFullRejections),
+            // Intervals whose close carries no fact: requests, draws, and
+            // an attributed kind closed without its attributes (a guard
+            // dropped during unwinding).
+            (
+                SpanKind::Request
+                | SpanKind::Draw { .. }
+                | SpanKind::Attempt { .. }
+                | SpanKind::ContextFit
+                | SpanKind::Session
+                | SpanKind::Quorum
+                | SpanKind::Defect { .. }
+                | SpanKind::QueueWait
+                | SpanKind::CacheLookup
+                | SpanKind::CacheEvict
+                | SpanKind::Breaker,
+                _,
+            ) => {}
+        }
+    }
+
+    /// Differential check (transitional): the parent's span counting only.
+    pub(crate) fn count_half(&self, span: &SpanEvent) {
+        match span.phase {
+            SpanPhase::Open => {
+                self.incr(Counter::SpanOpens);
+                self.span_opens[span.kind.index()].fetch_add(1, Ordering::Relaxed);
+            }
+            SpanPhase::Close => self.incr(Counter::SpanCloses),
+        }
     }
 
     /// Spans of one kind opened so far.
@@ -413,6 +501,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::EVERY_KIND;
 
     #[test]
     fn counters_accumulate_independently() {
@@ -572,22 +661,7 @@ mod tests {
     #[test]
     fn span_routing_covers_every_kind() {
         let reg = MetricsRegistry::new();
-        let kinds = [
-            SpanKind::Request,
-            SpanKind::ContextFit,
-            SpanKind::Attempt { sample: 0, attempt: 0 },
-            SpanKind::Draw { sample: 0, attempt: 0 },
-            SpanKind::Retry { sample: 0, attempt: 1 },
-            SpanKind::Backoff { sample: 0, attempt: 1 },
-            SpanKind::Quorum,
-            SpanKind::Fallback,
-            SpanKind::Shed,
-            SpanKind::QueueWait,
-            SpanKind::CacheLookup,
-            SpanKind::Session,
-        ];
-        assert_eq!(kinds.len(), SPAN_KINDS);
-        for kind in kinds {
+        for kind in EVERY_KIND {
             reg.record_span(&SpanEvent::open(9, kind));
             reg.record_span(&SpanEvent::close(9, kind));
         }
@@ -599,7 +673,94 @@ mod tests {
         assert_eq!(reg.span_open_count(&SpanKind::Session), 1);
         assert_eq!(snap.spans.len(), SPAN_KINDS);
         assert_eq!(snap.spans[0], ("request", 2));
-        assert_eq!(snap.counter("events"), 0, "spans do not inflate the event counter");
+        for (name, fact) in [("retries", 1), ("fallbacks", 1), ("context_joins", 1)] {
+            assert_eq!(snap.counter(name), fact, "kinds whose close is the fact: {name}");
+        }
+        assert_eq!(snap.counter("attempts"), 0, "an attempt closed without attributes");
+        assert_eq!(snap.counter("quorum_resolves"), 0, "a quorum closed without attributes");
+    }
+
+    #[test]
+    fn close_attributes_route_to_counters_and_histograms() {
+        let reg = MetricsRegistry::new();
+        let close = |kind, attrs| reg.record_span(&SpanEvent::close(1, kind).with(attrs));
+        let attempt = SpanKind::Attempt { sample: 0, attempt: 0 };
+        close(
+            attempt,
+            Attrs::Attempt {
+                outcome: AttemptClass::Valid,
+                defects: 0,
+                generated_tokens: 7,
+                work_units: 70,
+            },
+        );
+        close(SpanKind::ContextFit, Attrs::Fit { prompt_tokens: 11, work_units: 110 });
+        close(SpanKind::Session, Attrs::Session { generated_tokens: 7, work_units: 70 });
+        close(SpanKind::Quorum, Attrs::Quorum { valid: 0, required: 1, met: false });
+        close(
+            SpanKind::Defect { sample: 0, attempt: 0 },
+            Attrs::Defect { class: DefectClass::Panicked, fatal: true },
+        );
+        close(SpanKind::QueueWait, Attrs::Wait { ticks: 5 });
+        close(SpanKind::CacheLookup, Attrs::CacheHit);
+        close(SpanKind::CacheLookup, Attrs::CacheMiss);
+        close(SpanKind::CacheLookup, Attrs::CacheRefit { appended: 12, epoch: 1 });
+        close(SpanKind::CacheEvict, Attrs::Evict { evictions: 3 });
+        close(SpanKind::Breaker, Attrs::BreakerTrip { trips: 1 });
+        close(SpanKind::Breaker, Attrs::BreakerClose { trips: 1 });
+        close(SpanKind::Breaker, Attrs::BreakerReject);
+        close(SpanKind::Backoff { sample: 0, attempt: 1 }, Attrs::Backoff { delay: 2 });
+        close(SpanKind::Shed, Attrs::Shed { priority: 2 });
+        close(SpanKind::Quota, Attrs::Quota { client: 3 });
+        close(SpanKind::Join, Attrs::Join { ctx: 4 });
+        for kind in [
+            SpanKind::Retry { sample: 0, attempt: 1 },
+            SpanKind::Fallback,
+            SpanKind::PanicIsolated { sample: 0, attempt: 0 },
+            SpanKind::Dedup,
+            SpanKind::QueueFull,
+        ] {
+            close(kind, Attrs::None);
+        }
+        let snap = reg.snapshot();
+        for (name, value) in [
+            ("queue_waits", 1),
+            ("fit_dedup_hits", 1),
+            ("sessions", 1),
+            ("session_tokens", 7),
+            ("session_work", 70),
+            ("context_fits", 1),
+            ("context_joins", 1),
+            ("prompt_tokens", 11),
+            ("attempts", 1),
+            ("attempts_valid", 1),
+            ("generated_tokens", 7),
+            ("work_units", 70),
+            ("retries", 1),
+            ("defects", 1),
+            ("panics_isolated", 1),
+            ("quorum_resolves", 1),
+            ("quorum_failures", 1),
+            ("fallbacks", 1),
+            ("quota_rejections", 1),
+            ("sheds", 1),
+            ("backoffs", 1),
+            ("queue_full_rejections", 1),
+            ("breaker_trips", 1),
+            ("breaker_closes", 1),
+            ("breaker_rejections", 1),
+            ("cache_hits", 1),
+            ("cache_misses", 1),
+            ("cache_refits", 1),
+            ("cache_evictions", 3),
+            ("span_opens", 0),
+            ("span_closes", 22),
+        ] {
+            assert_eq!(snap.counter(name), value, "{name}");
+        }
+        assert_eq!(snap.defects[DefectClass::Panicked.index()], 1, "panic defect class");
+        assert_eq!(reg.queue_wait().sum(), 5);
+        assert_eq!(reg.attempt_tokens().sum(), 7);
     }
 
     #[test]

@@ -110,6 +110,7 @@ pub struct Observer {
     buf: Mutex<Vec<Stamped>>,
     spans: Mutex<Vec<StampedSpan>>,
     metrics: MetricsRegistry,
+    span_metrics: MetricsRegistry,
 }
 
 impl Observer {
@@ -122,6 +123,7 @@ impl Observer {
             buf: Mutex::new(Vec::new()),
             spans: Mutex::new(Vec::new()),
             metrics: MetricsRegistry::new(),
+            span_metrics: MetricsRegistry::new(),
         }
     }
 
@@ -134,6 +136,7 @@ impl Observer {
             buf: Mutex::new(Vec::new()),
             spans: Mutex::new(Vec::new()),
             metrics: MetricsRegistry::new(),
+            span_metrics: MetricsRegistry::new(),
         }
     }
 
@@ -206,8 +209,36 @@ impl Recorder for Observer {
     }
 
     fn span_at(&self, span: SpanEvent, t: u64, wall: u64) {
-        self.metrics.record_span(&span);
+        self.metrics.count_half(&span);
+        self.span_metrics.record_span(&span);
         self.spans.lock().expect("span buffer lock").push(StampedSpan { t, wall, span });
+    }
+}
+
+impl Drop for Observer {
+    /// Differential check (transitional): the span record reproduces the
+    /// canonical event rows and every fact counter.
+    fn drop(&mut self) {
+        if std::thread::panicking() || self.mode() != ClockMode::Logical {
+            return;
+        }
+        let (events, spans) = (self.events(), self.spans());
+        if events.is_empty() || spans.is_empty() {
+            return;
+        }
+        let old = export::to_jsonl(&events, ClockMode::Logical);
+        let new = export::project_events(&spans);
+        assert!(old == new, "span projection diverged from the event trace:\n{old}\n----\n{new}");
+        let (a, b) = (self.metrics.snapshot(), self.span_metrics.snapshot());
+        for (x, y) in a.counters.iter().zip(&b.counters) {
+            if !matches!(x.0, "events" | "span_opens" | "span_closes") {
+                assert_eq!(x, y, "counter diverged");
+            }
+        }
+        assert_eq!(a.defects, b.defects, "defect classes diverged");
+        assert_eq!(a.histograms[1], b.histograms[1], "attempt_tokens diverged");
+        assert_eq!(a.histograms[0].count, b.histograms[0].count, "queue_wait count diverged");
+        eprintln!("DIFFERENTIAL-OK rows={}", old.lines().count());
     }
 }
 
@@ -308,7 +339,7 @@ mod tests {
         use crate::span::{point_span, SpanKind};
         let noop = NoopRecorder;
         assert_eq!(noop.wall(), 0);
-        point_span(&noop, 1, SpanKind::Fallback);
+        point_span(&noop, 1, SpanKind::Fallback, crate::attrs::Attrs::None);
         noop.span(crate::span::SpanEvent::open(1, SpanKind::Request));
     }
 }

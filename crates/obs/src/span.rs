@@ -50,6 +50,7 @@
 
 use std::fmt::Write as _;
 
+use crate::attrs::Attrs;
 use crate::fingerprint::mix;
 
 /// Whether a [`SpanEvent`] opens or closes its interval.
@@ -130,10 +131,47 @@ pub enum SpanKind {
     /// (scheduler-scoped: drop order is racy). Keyed by the context
     /// fingerprint.
     Session,
+    /// A request was rejected at admission because its client's quota
+    /// was already exhausted (point span; deterministic: quotas settle at
+    /// flush boundaries and are checked in canonical request order).
+    Quota,
+    /// A request resolved to (joined) a frozen context (point span
+    /// carrying the context fingerprint).
+    Join,
+    /// One defect observed on an attempt (point span).
+    Defect {
+        /// Sample slot index.
+        sample: u32,
+        /// Attempt number.
+        attempt: u32,
+    },
+    /// A panicking attempt was caught and converted to a defect (point
+    /// span).
+    PanicIsolated {
+        /// Sample slot index.
+        sample: u32,
+        /// Attempt number.
+        attempt: u32,
+    },
+    /// A request's codec fit resolved to a context another request of
+    /// the flush already fitted (point span; scheduler-scoped: which twin
+    /// fitted first depends on submission order). Keyed by the context
+    /// fingerprint.
+    Dedup,
+    /// A submission bounced off the handle's hard submission cap (point
+    /// span; scheduler-scoped: which submission arrives over the cap
+    /// depends on submission order).
+    QueueFull,
+    /// A circuit-breaker transition or breaker rejection (point span;
+    /// scheduler-scoped: breaker state depends on flush history).
+    Breaker,
+    /// Unpinned cache entries were evicted to make room for an insertion
+    /// (point span; scheduler-scoped). Keyed by the context fingerprint.
+    CacheEvict,
 }
 
 /// Number of span kinds (slots in the per-kind metrics table).
-pub const SPAN_KINDS: usize = 12;
+pub const SPAN_KINDS: usize = 20;
 
 impl SpanKind {
     /// Stable snake_case name for exports and metrics.
@@ -155,15 +193,25 @@ impl SpanKind {
     pub fn rank(&self) -> u8 {
         match self {
             SpanKind::Request => 0,
-            SpanKind::Shed => 1,
-            SpanKind::ContextFit => 2,
-            SpanKind::Attempt { .. } => 3,
-            SpanKind::Draw { .. } => 4,
-            SpanKind::Retry { .. } => 5,
-            SpanKind::Backoff { .. } => 6,
-            SpanKind::Quorum => 7,
-            SpanKind::Fallback => 8,
-            SpanKind::QueueWait | SpanKind::CacheLookup | SpanKind::Session => u8::MAX,
+            SpanKind::Quota => 1,
+            SpanKind::Shed => 2,
+            SpanKind::ContextFit => 3,
+            SpanKind::Join => 4,
+            SpanKind::Attempt { .. } => 5,
+            SpanKind::Draw { .. } => 6,
+            SpanKind::Defect { .. } => 7,
+            SpanKind::PanicIsolated { .. } => 8,
+            SpanKind::Retry { .. } => 9,
+            SpanKind::Backoff { .. } => 10,
+            SpanKind::Quorum => 11,
+            SpanKind::Fallback => 12,
+            SpanKind::QueueWait
+            | SpanKind::CacheLookup
+            | SpanKind::Session
+            | SpanKind::Dedup
+            | SpanKind::QueueFull
+            | SpanKind::Breaker
+            | SpanKind::CacheEvict => u8::MAX,
         }
     }
 
@@ -173,7 +221,9 @@ impl SpanKind {
             SpanKind::Attempt { sample, attempt }
             | SpanKind::Draw { sample, attempt }
             | SpanKind::Retry { sample, attempt }
-            | SpanKind::Backoff { sample, attempt } => (sample, attempt),
+            | SpanKind::Backoff { sample, attempt }
+            | SpanKind::Defect { sample, attempt }
+            | SpanKind::PanicIsolated { sample, attempt } => (sample, attempt),
             _ => (0, 0),
         }
     }
@@ -194,6 +244,14 @@ impl SpanKind {
             SpanKind::QueueWait => 9,
             SpanKind::CacheLookup => 10,
             SpanKind::Session => 11,
+            SpanKind::Quota => 12,
+            SpanKind::Join => 13,
+            SpanKind::Defect { .. } => 14,
+            SpanKind::PanicIsolated { .. } => 15,
+            SpanKind::Dedup => 16,
+            SpanKind::QueueFull => 17,
+            SpanKind::Breaker => 18,
+            SpanKind::CacheEvict => 19,
         }
     }
 
@@ -211,6 +269,14 @@ impl SpanKind {
         "queue_wait",
         "cache_lookup",
         "session",
+        "quota",
+        "join",
+        "defect",
+        "panic_isolated",
+        "dedup",
+        "queue_full",
+        "breaker",
+        "cache_evict",
     ];
 
     /// Per-kind id salt, so the same key fingerprint yields distinct span
@@ -242,15 +308,22 @@ pub fn parent_of(key: u64, kind: &SpanKind) -> u64 {
         SpanKind::Request
         | SpanKind::ContextFit
         | SpanKind::Shed
+        | SpanKind::Quota
         | SpanKind::QueueWait
         | SpanKind::CacheLookup
-        | SpanKind::Session => 0,
-        SpanKind::Attempt { .. } | SpanKind::Quorum | SpanKind::Fallback => {
+        | SpanKind::Session
+        | SpanKind::Dedup
+        | SpanKind::QueueFull
+        | SpanKind::Breaker
+        | SpanKind::CacheEvict => 0,
+        SpanKind::Attempt { .. } | SpanKind::Join | SpanKind::Quorum | SpanKind::Fallback => {
             span_id(key, &SpanKind::Request)
         }
         SpanKind::Draw { sample, attempt }
         | SpanKind::Retry { sample, attempt }
-        | SpanKind::Backoff { sample, attempt } => {
+        | SpanKind::Backoff { sample, attempt }
+        | SpanKind::Defect { sample, attempt }
+        | SpanKind::PanicIsolated { sample, attempt } => {
             span_id(key, &SpanKind::Attempt { sample, attempt })
         }
     }
@@ -272,18 +345,14 @@ pub struct SpanEvent {
     pub kind: SpanKind,
     /// Open or close.
     pub phase: SpanPhase,
+    /// The facts this half carries ([`Attrs::None`] on open halves).
+    pub attrs: Attrs,
 }
 
 impl SpanEvent {
     /// The opening half of a deterministic span scoped to `key`.
     pub fn open(key: u64, kind: SpanKind) -> Self {
-        Self {
-            id: span_id(key, &kind),
-            parent: parent_of(key, &kind),
-            req: key,
-            kind,
-            phase: SpanPhase::Open,
-        }
+        Self::open_with_id(span_id(key, &kind), key, kind)
     }
 
     /// The closing half of a deterministic span scoped to `key`.
@@ -295,12 +364,24 @@ impl SpanEvent {
     /// id (typically [`mix`]`(tick, salt)` — unique per occurrence, not
     /// schedule-invariant).
     pub fn open_with_id(id: u64, key: u64, kind: SpanKind) -> Self {
-        Self { id, parent: parent_of(key, &kind), req: key, kind, phase: SpanPhase::Open }
+        Self {
+            id,
+            parent: parent_of(key, &kind),
+            req: key,
+            kind,
+            phase: SpanPhase::Open,
+            attrs: Attrs::None,
+        }
     }
 
     /// The closing half matching [`SpanEvent::open_with_id`].
     pub fn close_with_id(id: u64, key: u64, kind: SpanKind) -> Self {
         Self { phase: SpanPhase::Close, ..Self::open_with_id(id, key, kind) }
+    }
+
+    /// This half carrying `attrs`.
+    pub fn with(self, attrs: Attrs) -> Self {
+        Self { attrs, ..self }
     }
 }
 
@@ -357,6 +438,17 @@ impl<'a> SpanGuard<'a> {
     }
 }
 
+impl SpanGuard<'_> {
+    /// Closes the span now, with `attrs` on the close half — the
+    /// attributed close of an interval whose facts are known only at its
+    /// end (an attempt's outcome, a quorum's verdict).
+    pub fn close(mut self, attrs: Attrs) {
+        if let Some(close) = self.close.take() {
+            self.obs.span(close.with(attrs));
+        }
+    }
+}
+
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         if let Some(close) = self.close.take() {
@@ -365,13 +457,16 @@ impl Drop for SpanGuard<'_> {
     }
 }
 
-/// Emits a zero-width (open immediately followed by close) span — for
-/// instants that belong in the causal tree (`retry`, `backoff`,
-/// `fallback`, `shed`).
-pub fn point_span(obs: &dyn crate::record::Recorder, key: u64, kind: SpanKind) {
+/// Emits a point span: an instantaneous fact (`retry`, `backoff`,
+/// `fallback`, `shed`, `defect`, `join`, ...) with `attrs` on its close
+/// half. Both halves share one stamp, so a point span is zero-width on
+/// both clocks and never takes latency blame from the interval it sits
+/// in.
+pub fn point_span(obs: &dyn crate::record::Recorder, key: u64, kind: SpanKind, attrs: Attrs) {
     if obs.enabled() {
-        obs.span(SpanEvent::open(key, kind));
-        obs.span(SpanEvent::close(key, kind));
+        let (t, wall) = (obs.now(), obs.wall());
+        obs.span_at(SpanEvent::open(key, kind), t, wall);
+        obs.span_at(SpanEvent::close(key, kind).with(attrs), t, wall);
     }
 }
 
@@ -627,6 +722,31 @@ pub fn chrome_trace(paired: &[PairedSpan]) -> String {
     out
 }
 
+/// One representative of every kind, in [`SpanKind::index`] order.
+#[cfg(test)]
+pub(crate) const EVERY_KIND: [SpanKind; SPAN_KINDS] = [
+    SpanKind::Request,
+    SpanKind::ContextFit,
+    SpanKind::Attempt { sample: 1, attempt: 2 },
+    SpanKind::Draw { sample: 1, attempt: 2 },
+    SpanKind::Retry { sample: 1, attempt: 2 },
+    SpanKind::Backoff { sample: 1, attempt: 2 },
+    SpanKind::Quorum,
+    SpanKind::Fallback,
+    SpanKind::Shed,
+    SpanKind::QueueWait,
+    SpanKind::CacheLookup,
+    SpanKind::Session,
+    SpanKind::Quota,
+    SpanKind::Join,
+    SpanKind::Defect { sample: 1, attempt: 2 },
+    SpanKind::PanicIsolated { sample: 1, attempt: 2 },
+    SpanKind::Dedup,
+    SpanKind::QueueFull,
+    SpanKind::Breaker,
+    SpanKind::CacheEvict,
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -664,30 +784,60 @@ mod tests {
 
     #[test]
     fn kind_table_is_consistent() {
-        let kinds = [
-            SpanKind::Request,
-            SpanKind::ContextFit,
-            SpanKind::Attempt { sample: 0, attempt: 0 },
-            SpanKind::Draw { sample: 0, attempt: 0 },
-            SpanKind::Retry { sample: 0, attempt: 1 },
-            SpanKind::Backoff { sample: 0, attempt: 1 },
-            SpanKind::Quorum,
-            SpanKind::Fallback,
-            SpanKind::Shed,
+        // One slot per kind, so `name()` and the metrics table never alias.
+        for (i, kind) in EVERY_KIND.iter().enumerate() {
+            assert_eq!(kind.index(), i, "{kind:?}");
+        }
+        for kind in [
             SpanKind::QueueWait,
             SpanKind::CacheLookup,
             SpanKind::Session,
-        ];
-        assert_eq!(kinds.len(), SPAN_KINDS);
-        // One slot per kind, so `name()` and the metrics table never alias.
-        for (i, kind) in kinds.iter().enumerate() {
-            assert_eq!(kind.index(), i, "{kind:?}");
+            SpanKind::Dedup,
+            SpanKind::QueueFull,
+            SpanKind::Breaker,
+            SpanKind::CacheEvict,
+        ] {
+            assert!(!kind.deterministic(), "{kind:?}");
         }
-        assert!(!SpanKind::QueueWait.deterministic());
-        assert!(!SpanKind::CacheLookup.deterministic());
-        assert!(!SpanKind::Session.deterministic());
         assert!(SpanKind::Request.deterministic());
         assert!(SpanKind::Shed.deterministic());
+        assert!(SpanKind::Join.deterministic());
+        assert!(SpanKind::Defect { sample: 0, attempt: 0 }.deterministic());
+    }
+
+    #[test]
+    fn facts_nest_under_their_owners() {
+        let defect = SpanKind::Defect { sample: 1, attempt: 2 };
+        let owner = span_id(7, &SpanKind::Attempt { sample: 1, attempt: 2 });
+        assert_eq!(parent_of(7, &defect), owner);
+        assert_eq!(parent_of(7, &SpanKind::PanicIsolated { sample: 1, attempt: 2 }), owner);
+        assert_eq!(parent_of(7, &SpanKind::Join), span_id(7, &SpanKind::Request));
+        assert_eq!(parent_of(7, &SpanKind::Quota), 0, "rejected requests open no request span");
+        assert_eq!(defect.coords(), (1, 2));
+    }
+
+    #[test]
+    fn point_spans_are_zero_width_and_attributed() {
+        let obs = crate::record::Observer::logical();
+        point_span(&obs, 7, SpanKind::Join, Attrs::Join { ctx: 9 });
+        let halves = obs.spans();
+        assert_eq!(halves.len(), 2);
+        assert_eq!((halves[0].t, halves[0].wall), (halves[1].t, halves[1].wall), "one stamp");
+        assert_eq!(halves[0].span.attrs, Attrs::None, "facts ride on the close half");
+        assert_eq!(halves[1].span.attrs, Attrs::Join { ctx: 9 });
+        let paired = pair_spans(&halves).unwrap();
+        assert_eq!(paired[0].ticks(), 0);
+    }
+
+    #[test]
+    fn guard_close_carries_attrs_and_disarms_drop() {
+        let obs = crate::record::Observer::logical();
+        let quorum = SpanGuard::open(&obs, 7, SpanKind::Quorum);
+        quorum.close(Attrs::Quorum { valid: 2, required: 1, met: true });
+        let halves = obs.spans();
+        assert_eq!(halves.len(), 2, "an explicit close is the only close");
+        assert_eq!(halves[1].span.phase, SpanPhase::Close);
+        assert_eq!(halves[1].span.attrs, Attrs::Quorum { valid: 2, required: 1, met: true });
     }
 
     #[test]

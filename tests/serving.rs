@@ -165,10 +165,13 @@ fn fixed_seed_request_is_bit_identical_across_schedulers() {
             assert_eq!(engine_equivalent_cost(run, outcome), *cost, "{tag}: cost");
         }
     };
-    check(&serve_all(&requests, &ServeConfig::with_workers(1)), &requests, "1 worker");
+    let observed = |r: &[ForecastRequest], w| {
+        serve_all_observed(r, &ServeConfig::with_workers(w), Arc::new(Observer::logical()))
+    };
+    check(&observed(&requests, 1), &requests, "1 worker");
     for shuffle_seed in [1u64, 7, 31] {
         let order = shuffled(&requests, shuffle_seed);
-        let wide = serve_all(&order, &ServeConfig::with_workers(8));
+        let wide = observed(&order, 8);
         check(&wide, &order, &format!("8 workers, shuffle {shuffle_seed}"));
     }
 }
