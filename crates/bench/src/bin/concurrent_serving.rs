@@ -9,9 +9,10 @@
 //! With `--trace <path>` (and/or `--metrics`), runs the `telemetry`
 //! scenario instead: one representative batch served bare, through a
 //! no-op recorder, and under a recording observer on the logical clock.
-//! The canonical JSONL trace goes to `<path>`, `--metrics` prints the
-//! metrics snapshot, and both measurements land in
-//! `results/serving_telemetry.md`.
+//! The canonical span record goes to `<path>` as JSONL (one span half
+//! per line, facts as attributes on close halves), `--metrics` prints the
+//! metrics snapshot derived from that record, and both measurements land
+//! in `results/serving_telemetry.md`.
 
 use mc_spec::cli::Cli;
 use mc_spec::{RunOptions, Runner, ScenarioKind};

@@ -9,9 +9,10 @@
 //! keys and malformed values are typed errors), lowered onto the
 //! engine/serve seams and executed. `--bench-dir` additionally writes
 //! the scenario's canonical `BENCH_<name>.json` there; `--trace` exports
-//! the telemetry scenario's canonical JSONL trace and `--spans` the
-//! latency audit's Chrome trace-event (Perfetto) JSON — they are
-//! different formats, so pointing both at one path is a typed conflict.
+//! the telemetry scenario's canonical span record (JSONL, one span half
+//! per line with its attributes) and `--spans` the latency audit's Chrome
+//! trace-event (Perfetto) JSON — they are different formats, so pointing
+//! both at one path is a typed conflict.
 
 use mc_spec::cli::{Cli, CliError};
 use mc_spec::{RunOptions, Runner, ScenarioSpec};

@@ -20,7 +20,7 @@
 //! fixed-width integers + dimensional multiplexing — §III-A) and
 //! [`SaxCodec`] (z-norm → PAA → Gaussian symbols — §III-B).
 
-use mc_tslib::error::Result;
+use mc_tslib::error::{Result, TsError};
 use mc_tslib::series::MultivariateSeries;
 use mc_tslib::transform::ZNormState;
 
@@ -209,7 +209,13 @@ pub struct SaxCodec {
 }
 
 impl Codec for SaxCodec {
+    /// # Errors
+    /// [`TsError::Empty`] on a zero-row history (z-normalization needs at
+    /// least one value per dimension).
     fn fit(&self, train: &MultivariateSeries) -> Result<Box<dyn FittedCodec>> {
+        if train.is_empty() {
+            return Err(TsError::Empty);
+        }
         let dims = train.dims();
         let encoder = SaxEncoder::new(self.sax);
         // Encode every dimension; remember its z-norm state for decoding.

@@ -229,9 +229,10 @@ impl PreparedBackend {
     /// Wraps this backend's frozen context in a [`MeteredLm`] recording
     /// into `ledger`: the prompt cost lands in the ledger immediately, and
     /// every session forked from this backend records its generated-token
-    /// cost when it completes, also emitting a `session_cost` trace event
-    /// tagged with the `ctx` context fingerprint (scheduler-scoped: it
-    /// feeds metrics and wall-clock exports, never the canonical trace).
+    /// cost when it completes, and is a `session` span scoped to the `ctx`
+    /// context fingerprint whose close carries that cost
+    /// (scheduler-scoped: it feeds metrics and wall-clock exports, never
+    /// the canonical trace).
     /// Decoding is bit-identical to the unmetered backend. Metering a warm
     /// cached context attributes exactly what metering the equivalent
     /// fresh fit would — warm and cold serving produce identical cost
@@ -410,6 +411,25 @@ mod tests {
         let a = sinusoids(n, &[(1.0, 12.0, 0.0)]);
         let b: Vec<f64> = a.iter().map(|&v| 4.0 + 0.5 * v).collect();
         MultivariateSeries::from_columns(vec!["a".into(), "b".into()], vec![a, b]).unwrap()
+    }
+
+    /// A header-only CSV parses to a zero-row history; both codecs must
+    /// reject it with a typed error instead of panicking inside the fit.
+    #[test]
+    fn zero_row_history_is_a_typed_error_for_both_codecs() {
+        use crate::codec::SaxCodec;
+        use mc_sax::alphabet::{SaxAlphabet, SaxAlphabetKind};
+        use mc_sax::encoder::SaxConfig;
+        use mc_tslib::error::TsError;
+        let train = mc_tslib::io::read_csv_str("a,b\n").unwrap();
+        assert!(train.is_empty());
+        let cfg = ForecastConfig::default();
+        let engine = ForecastEngine::new(cfg);
+        let alphabet = SaxAlphabet::new(SaxAlphabetKind::Alphabetic, 5).unwrap();
+        let sax = SaxCodec { sax: SaxConfig { segment_len: 6, alphabet } };
+        assert_eq!(engine.run(&sax, &train, 4).err(), Some(TsError::Empty));
+        let digit = DigitCodec::from_config(MuxMethod::ValueInterleave, &cfg);
+        assert_eq!(engine.run(&digit, &train, 4).err(), Some(TsError::Empty));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! LLMTime baseline (Gruver et al. 2023 — the paper's ref [15]).
+//! LLMTime baseline (Gruver et al. 2023 — the paper's ref \[15\]).
 //!
 //! The state of the art the paper compares against: zero-shot *univariate*
 //! forecasting, "applied in each dimension separately" (§IV-A3). The

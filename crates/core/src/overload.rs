@@ -20,7 +20,7 @@
 //! recording races, shed-settlement wakeups) exhaustively.
 
 use mc_lm::presets::ModelPreset;
-use mc_obs::{point_span, Attrs, EventKind, Recorder, SpanKind, TraceEvent};
+use mc_obs::{point_span, Attrs, Recorder, SpanKind};
 use mc_sync::atomic::{AtomicU64, Ordering};
 use mc_sync::{Arc, Mutex};
 use mc_tslib::error::TsError;
@@ -39,8 +39,8 @@ pub enum Priority {
 }
 
 impl Priority {
-    /// Numeric rank (higher survives shedding longer); also the payload
-    /// of `shed` trace events.
+    /// Numeric rank (higher survives shedding longer); also the attribute
+    /// of `shed` point spans.
     pub fn rank(self) -> u8 {
         match self {
             Priority::Batch => 0,
@@ -115,16 +115,15 @@ impl ServeDefect {
     }
 }
 
-/// Emits the deterministic telemetry for one admission shed: the `shed`
-/// trace event plus a zero-length `shed` span, both keyed by the dropped
-/// request's trace fingerprint. Shedding is a value-based cut (priority
+/// Emits the deterministic telemetry for one admission shed: a `shed`
+/// point span carrying the priority, keyed by the dropped request's trace
+/// fingerprint. Shedding is a value-based cut (priority
 /// desc, fingerprint asc), so the shed *set* — and with it this span
 /// multiset — is invariant across submission orders and worker counts.
 pub fn record_shed(obs: &dyn Recorder, req: u64, priority: Priority) {
     if !obs.enabled() {
         return;
     }
-    obs.record(TraceEvent { req, ctx: 0, kind: EventKind::Shed { priority: priority.rank() } });
     point_span(obs, req, SpanKind::Shed, Attrs::Shed { priority: priority.rank() });
 }
 

@@ -32,8 +32,7 @@ use mc_baselines::fallback::FallbackForecaster;
 use mc_lm::cost::InferenceCost;
 use mc_lm::sampler::SamplerConfig;
 use mc_obs::{
-    point_span, AttemptClass, Attrs, Counter, EventKind, MetricsRegistry, NoopRecorder, Recorder,
-    SpanKind, TraceEvent,
+    point_span, AttemptClass, Attrs, Counter, MetricsRegistry, NoopRecorder, Recorder, SpanKind,
 };
 use mc_sync::Mutex;
 
@@ -538,7 +537,7 @@ impl ForecastReport {
     /// Folds this report's accounting into a metrics registry: per-class
     /// defect counts, retries, and the fallback counter when degraded.
     /// This is the sequential pipeline's bridge into `mc-obs` — the serve
-    /// scheduler feeds the registry live through trace events instead.
+    /// scheduler feeds the registry live through its span record instead.
     pub fn record_into(&self, metrics: &MetricsRegistry) {
         for record in &self.samples {
             for defect in &record.defects {
@@ -614,7 +613,7 @@ impl AttemptOutcome {
     /// The attributes of this attempt's `attempt` span close: how it ended,
     /// its defect count and its cost (zero for panicked and infra
     /// attempts, which never completed a draw).
-    pub fn attrs(&self) -> Attrs {
+    pub(crate) fn attrs(&self) -> Attrs {
         let (outcome, defects, cost) = match self {
             AttemptOutcome::Done { cost, defects, .. } => {
                 let fatal = defects.iter().any(SampleDefect::is_fatal);
@@ -722,121 +721,13 @@ pub fn execute_attempt(
     }
 }
 
-/// A recorder plus the request/context trace keys its events are tagged
-/// with — bundled so the executor's attempt step stays at a sane arity.
-#[derive(Clone, Copy)]
-pub struct TraceScope<'a> {
-    /// Event sink (a disabled recorder makes every emission free).
-    pub obs: &'a dyn Recorder,
-    /// Request content fingerprint events carry (0 = unscoped).
-    pub req: u64,
-    /// Context content fingerprint events carry (0 = unscoped).
-    pub ctx: u64,
-}
-
-impl TraceScope<'_> {
-    /// The unobserved default: every emission is dropped.
-    pub fn disabled() -> TraceScope<'static> {
-        TraceScope { obs: &NoopRecorder, req: 0, ctx: 0 }
-    }
-}
-
-/// Emits the trace events one attempt outcome implies: a `defect` event
-/// per observed defect, `panic_isolated` for caught panics, and the
-/// `attempt` event itself (carrying the attempt's cost; zero for panicked
-/// and infra attempts, which never completed a draw). Called from the
-/// executor's one attempt step, so the engine ladder and the serve pool
-/// emit the same canonical trace for the same outcomes. No-op when `obs`
-/// is disabled.
-pub fn record_attempt(
-    obs: &dyn Recorder,
-    req: u64,
-    ctx: u64,
-    sample: usize,
-    attempt: usize,
-    outcome: &AttemptOutcome,
-) {
-    if !obs.enabled() {
-        return;
-    }
-    let (sample, attempt) = (sample as u32, attempt as u32);
-    match outcome {
-        AttemptOutcome::Done { cost, defects, .. } => {
-            for defect in defects {
-                obs.record(TraceEvent {
-                    req,
-                    ctx,
-                    kind: EventKind::Defect {
-                        sample,
-                        attempt,
-                        class: defect.class(),
-                        fatal: defect.is_fatal(),
-                    },
-                });
-            }
-            let fatal = defects.iter().any(SampleDefect::is_fatal);
-            obs.record(TraceEvent {
-                req,
-                ctx,
-                kind: EventKind::Attempt {
-                    sample,
-                    attempt,
-                    outcome: if fatal { AttemptClass::Defective } else { AttemptClass::Valid },
-                    defects: defects.len() as u32,
-                    generated_tokens: cost.generated_tokens,
-                    work_units: cost.work_units,
-                },
-            });
-        }
-        AttemptOutcome::Infra(_) => {
-            obs.record(TraceEvent {
-                req,
-                ctx,
-                kind: EventKind::Attempt {
-                    sample,
-                    attempt,
-                    outcome: AttemptClass::Infra,
-                    defects: 0,
-                    generated_tokens: 0,
-                    work_units: 0,
-                },
-            });
-        }
-        AttemptOutcome::Panicked(_) => {
-            obs.record(TraceEvent {
-                req,
-                ctx,
-                kind: EventKind::Defect {
-                    sample,
-                    attempt,
-                    class: DefectClass::Panicked,
-                    fatal: true,
-                },
-            });
-            obs.record(TraceEvent { req, ctx, kind: EventKind::PanicIsolated { sample, attempt } });
-            obs.record(TraceEvent {
-                req,
-                ctx,
-                kind: EventKind::Attempt {
-                    sample,
-                    attempt,
-                    outcome: AttemptClass::Panicked,
-                    defects: 1,
-                    generated_tokens: 0,
-                    work_units: 0,
-                },
-            });
-        }
-    }
-}
-
 /// Emits the point spans one attempt outcome implies: a `defect` span
 /// per observed defect, and a panicked attempt's `defect` plus
 /// `panic_isolated` spans. Called from the executor's one attempt step
 /// right after the attempt's attributed close, so the engine ladder and
 /// the serve pool record the same facts for the same outcomes. No-op when
 /// `obs` is disabled.
-pub fn record_defects(
+pub(crate) fn record_defects(
     obs: &dyn Recorder,
     req: u64,
     sample: u32,
@@ -856,12 +747,8 @@ pub fn record_defects(
         }
         AttemptOutcome::Infra(_) => {}
         AttemptOutcome::Panicked(_) => {
-            point_span(
-                obs,
-                req,
-                defect,
-                Attrs::Defect { class: DefectClass::Panicked, fatal: true },
-            );
+            let attrs = Attrs::Defect { class: DefectClass::Panicked, fatal: true };
+            point_span(obs, req, defect, attrs);
             point_span(obs, req, SpanKind::PanicIsolated { sample, attempt }, Attrs::None);
         }
     }
@@ -1102,8 +989,7 @@ where
     let progress = Mutex::new(RobustProgress::new(samples, policy)?);
     let first = (0..samples).map(|sample| Task { request: 0, sample, attempt: 0 }).collect();
     let queue = TaskQueue::new(first, samples);
-    let ladder =
-        Ladder { progress: &progress, policy, source, expect, trace: TraceScope::disabled() };
+    let ladder = Ladder { progress: &progress, policy, source, expect, obs: &NoopRecorder, req: 0 };
     drain(&queue, samples.min(parallelism()), &NoopRecorder, |task| {
         run_attempt(&queue, task, &ladder, &draw, &decode, |_| {});
     });

@@ -50,16 +50,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
 use mc_lm::cost::InferenceCost;
-use mc_obs::{
-    mix, point_span, Attrs, EventKind, NoopRecorder, Recorder, SpanEvent, SpanGuard, SpanKind,
-    TraceEvent,
-};
+use mc_obs::{mix, point_span, Attrs, NoopRecorder, Recorder, SpanEvent, SpanGuard, SpanKind};
 use mc_sync::{Condvar, Mutex};
 use mc_tslib::error::Result;
 
 use crate::robust::{
-    execute_attempt, record_attempt, record_defects, virtual_index, AttemptDisposition,
-    AttemptOutcome, RobustPolicy, RobustProgress, SampleExpectations, SampleSource, TraceScope,
+    execute_attempt, record_defects, virtual_index, AttemptDisposition, AttemptOutcome,
+    RobustPolicy, RobustProgress, SampleExpectations, SampleSource,
 };
 
 /// A FIFO task queue with settlement-counted termination, an optional
@@ -225,14 +222,13 @@ impl<T> TaskQueue<T> {
         }
     }
 
-    /// [`TaskQueue::next`] with a `queue_wait` trace event per dequeue,
-    /// carrying the clock delta spent inside the blocking call, plus a
-    /// `queue_wait` span whose open half is back-dated to the pre-wait
-    /// stamps (the span id is minted from the pre-wait tick, so a fruitless
-    /// final wait emits nothing and no span is left orphaned). Queue
-    /// waits are scheduler-scoped — they feed metrics and wall-clock
-    /// exports, never the canonical trace. A disabled recorder makes this
-    /// identical to [`TaskQueue::next`].
+    /// [`TaskQueue::next`] with a `queue_wait` span per dequeue: its open
+    /// half is back-dated to the pre-wait stamps and its close carries the
+    /// clock delta spent inside the blocking call (the span id is minted
+    /// from the pre-wait tick, so a fruitless final wait emits nothing and
+    /// no span is left orphaned). Queue waits are scheduler-scoped — they
+    /// feed metrics and wall-clock exports, never the canonical trace. A
+    /// disabled recorder makes this identical to [`TaskQueue::next`].
     pub fn next_observed(&self, obs: &dyn Recorder) -> Option<T> {
         if !obs.enabled() {
             return self.next();
@@ -241,12 +237,12 @@ impl<T> TaskQueue<T> {
         let wall_start = obs.wall();
         let task = self.next();
         if task.is_some() {
-            let ticks = obs.now().saturating_sub(start);
-            obs.record(TraceEvent { req: 0, ctx: 0, kind: EventKind::QueueWait { ticks } });
+            let (end, wall_end) = (obs.now(), obs.wall());
             let id = mix(start, SpanKind::QueueWait.index() as u64);
             obs.span_at(SpanEvent::open_with_id(id, 0, SpanKind::QueueWait), start, wall_start);
             let close = SpanEvent::close_with_id(id, 0, SpanKind::QueueWait);
-            obs.span(close.with(Attrs::Wait { ticks }));
+            let ticks = end.saturating_sub(start);
+            obs.span_at(close.with(Attrs::Wait { ticks }), end, wall_end);
         }
         task
     }
@@ -272,8 +268,10 @@ pub(crate) struct Ladder<'a> {
     pub(crate) source: SampleSource,
     /// What a valid continuation of this request looks like.
     pub(crate) expect: &'a SampleExpectations,
-    /// Recorder and the request/context keys its events carry.
-    pub(crate) trace: TraceScope<'a>,
+    /// Span sink (a disabled recorder makes every emission free).
+    pub(crate) obs: &'a dyn Recorder,
+    /// Request content fingerprint the spans are scoped to.
+    pub(crate) req: u64,
 }
 
 /// The hardware thread count, read once: on Linux each
@@ -334,16 +332,18 @@ pub(crate) fn fan_out<R: Send>(
 
 /// The executor's attempt step. Reads the sample's remaining budget, runs
 /// [`execute_attempt`] inside an `attempt(sample, n)` span with a nested
-/// `draw` span, records the outcome ([`record_attempt`]) and folds it into
-/// the request's progress. The sample then either settles, or emits
-/// `retry` (plus `backoff` when the policy delays it) and re-queues at
-/// [`RobustPolicy::backoff_delay`]. `on_outcome` sees every outcome before
-/// it is recorded — the serve pool's circuit-breaker hook.
+/// `draw` span, closes the attempt span with the outcome's attributes
+/// ([`AttemptOutcome::attrs`]), records its defects as point spans
+/// ([`record_defects`]) and folds it into the request's progress. The
+/// sample then either settles, or emits `retry` (plus `backoff` when the
+/// policy delays it) and re-queues at [`RobustPolicy::backoff_delay`].
+/// `on_outcome` sees every outcome before its defects are recorded — the
+/// serve pool's circuit-breaker hook.
 ///
 /// Span ids are pure functions of the request fingerprint and
-/// coordinates, so the span multiset is schedule-invariant like the
-/// attempt events. Both span guards close on drop, which runs during the
-/// unwind inside `execute_attempt`: a panicking draw still closes them.
+/// coordinates, so the span multiset is schedule-invariant. The draw
+/// guard closes on drop, which runs during the unwind inside
+/// `execute_attempt`: a panicking draw still closes it.
 pub(crate) fn run_attempt(
     queue: &TaskQueue<Task>,
     task: Task,
@@ -357,7 +357,7 @@ pub(crate) fn run_attempt(
         let progress = ladder.progress.lock().expect("request lock");
         (progress.remaining_budget(sample), virtual_index(progress.samples(), sample, attempt))
     };
-    let TraceScope { obs, req, ctx } = ladder.trace;
+    let (obs, req) = (ladder.obs, ladder.req);
     let (s, a) = (sample as u32, attempt as u32);
     let attempt_span = SpanGuard::open(obs, req, SpanKind::Attempt { sample: s, attempt: a });
     let traced_draw = |b| {
@@ -368,7 +368,6 @@ pub(crate) fn run_attempt(
         execute_attempt(ladder.source, sample, attempt, ladder.expect, budget, traced_draw, decode);
     attempt_span.close(outcome.attrs());
     on_outcome(&outcome);
-    record_attempt(obs, req, ctx, sample, attempt, &outcome);
     record_defects(obs, req, s, a, &outcome);
     let disposition = ladder.progress.lock().expect("request lock").apply(sample, attempt, outcome);
     let AttemptDisposition::Retry { attempt } = disposition else {
@@ -378,11 +377,8 @@ pub(crate) fn run_attempt(
     let delay = ladder.policy.backoff_delay(attempt);
     if obs.enabled() {
         let retry = attempt as u32;
-        obs.record(TraceEvent { req, ctx, kind: EventKind::Retry { sample: s, attempt: retry } });
         point_span(obs, req, SpanKind::Retry { sample: s, attempt: retry }, Attrs::None);
         if delay > 0 {
-            let kind = EventKind::Backoff { sample: s, attempt: retry, delay: delay as u32 };
-            obs.record(TraceEvent { req, ctx, kind });
             let attrs = Attrs::Backoff { delay: delay as u32 };
             point_span(obs, req, SpanKind::Backoff { sample: s, attempt: retry }, attrs);
         }

@@ -24,7 +24,7 @@
 //!   can never change a forecast). Served contexts stay pinned until the
 //!   flush boundary, so eviction can never free a context a live decode
 //!   session is forked from. All fits route through the single
-//!   [`fit_context`] seam — the `no-direct-fit` lint rule keeps it that
+//!   `fit_context` seam — the `no-direct-fit` lint rule keeps it that
 //!   way.
 //! - **A bounded worker pool** fans `(request, sample, attempt)` tasks
 //!   across `workers` threads on the executor in [`crate::sched`] — the
@@ -70,8 +70,7 @@ use mc_lm::tokenizer::{CharTokenizer, Tokenizer};
 use mc_lm::vocab::Vocab;
 
 use mc_obs::{
-    mix, point_span, Attrs, EventKind, Fingerprint, NoopRecorder, Recorder, SpanEvent, SpanGuard,
-    SpanKind, TraceEvent,
+    mix, point_span, Attrs, Fingerprint, NoopRecorder, Recorder, SpanEvent, SpanGuard, SpanKind,
 };
 use mc_sax::encoder::SaxConfig;
 
@@ -86,7 +85,7 @@ use crate::overload::{
 use crate::pipeline::ContinuationSpec;
 use crate::robust::{
     AttemptOutcome, FallbackPolicy, ForecastReport, RobustProgress, SampleDefect,
-    SampleExpectations, SampleSource, TraceScope,
+    SampleExpectations, SampleSource,
 };
 use crate::sched::{drain, run_attempt, Ladder, Task, TaskQueue};
 
@@ -150,7 +149,7 @@ impl ForecastRequest {
     }
 
     /// Stable content fingerprint — the request's trace key (`req` on
-    /// every event it emits). Derived purely from the request's content
+    /// every span it emits). Derived purely from the request's content
     /// (history names and value bits, horizon, codec, configuration,
     /// sample source), never from submission indices or thread ids, so
     /// canonical traces stay byte-identical across worker counts and
@@ -278,8 +277,9 @@ pub struct ServeOutcome {
 /// Per-context accounting for one batch.
 #[derive(Debug, Clone)]
 pub struct ContextStats {
-    /// Content fingerprint of the context (the `ctx` key its trace
-    /// events carry).
+    /// Content fingerprint of the context (the scope of its
+    /// `context_fit` span and the `ctx` attribute of its requests' `join`
+    /// spans).
     pub fingerprint: u64,
     /// Requests served from this context.
     pub requests: usize,
@@ -359,8 +359,6 @@ struct RequestState {
     progress: Mutex<RobustProgress>,
     /// Request trace key (occurrence-mixed content fingerprint).
     fp: u64,
-    /// Trace key of the context this request joined.
-    ctx_fp: u64,
     /// The preset's circuit breaker, when breaking is enabled — workers
     /// record every attempt outcome into its flush window.
     breaker: Option<Arc<CircuitBreaker>>,
@@ -400,7 +398,7 @@ type Submission = std::result::Result<ForecastRequest, ServeDefect>;
 ///   (priority desc, occurrence-mixed fingerprint asc) — a value-based
 ///   cut; twins are interchangeable by construction.
 ///
-/// Quota and shed rejections emit *deterministic* trace events (they
+/// Quota and shed rejections emit *deterministic* point spans (they
 /// belong to the canonical trace); breaker rejections are
 /// scheduler-scoped, since breaker state depends on flush history.
 fn admit(
@@ -422,13 +420,6 @@ fn admit(
             if let Some(quota) = config.quota_tokens {
                 let spent = overload.quota().spent(request.client);
                 if spent >= quota {
-                    if obs.enabled() {
-                        obs.record(TraceEvent {
-                            req: fp,
-                            ctx: 0,
-                            kind: EventKind::QuotaExhausted { client: request.client },
-                        });
-                    }
                     point_span(obs, fp, SpanKind::Quota, Attrs::Quota { client: request.client });
                     return Admission::Reject(ServeDefect::QuotaExhausted {
                         client: request.client,
@@ -440,9 +431,6 @@ fn admit(
             if config.breaker.is_some() {
                 let breaker = overload.breaker(request.config.preset);
                 if breaker.is_open() {
-                    if obs.enabled() {
-                        obs.record(TraceEvent { req: fp, ctx: 0, kind: EventKind::BreakerReject });
-                    }
                     point_span(obs, fp, SpanKind::Breaker, Attrs::BreakerReject);
                     return Admission::Reject(ServeDefect::BreakerOpen {
                         preset: request.config.preset,
@@ -504,16 +492,9 @@ fn fit_context(
     let tokens = CharTokenizer::new(spec.vocab.clone())
         .encode(&spec.prompt)
         .map_err(|e| pipeline_error("encode-prompt", e.to_string()))?;
-    let (frozen, epoch, event) = match cache.acquire_observed(family, ctx_fp, &tokens, obs.as_ref())
-    {
-        Found::Hit { frozen, epoch } => (frozen, epoch, EventKind::CacheHit),
-        Found::Refit { frozen, epoch, appended } => {
-            (frozen, epoch, EventKind::CacheRefit { appended: appended as u64, epoch })
-        }
+    let (frozen, epoch) = match cache.acquire_observed(family, ctx_fp, &tokens, obs.as_ref()) {
+        Found::Hit { frozen, epoch } | Found::Refit { frozen, epoch, .. } => (frozen, epoch),
         Found::Miss => {
-            if obs.enabled() {
-                obs.record(TraceEvent { req: 0, ctx: ctx_fp, kind: EventKind::CacheMiss });
-            }
             let evictions_before = cache.stats().evictions;
             let fitted = PreparedBackend::fit(spec)?;
             // Share whichever Arc the cache settled on (a concurrent
@@ -521,18 +502,9 @@ fn fit_context(
             // context and the cached one are always the same object.
             let shared = cache.insert(family, ctx_fp, &tokens, fitted.frozen());
             let evicted = cache.stats().evictions - evictions_before;
-            if evicted > 0 && obs.enabled() {
-                obs.record(TraceEvent {
-                    req: 0,
-                    ctx: ctx_fp,
-                    kind: EventKind::CacheEvict { evictions: evicted },
-                });
-                point_span(
-                    obs.as_ref(),
-                    ctx_fp,
-                    SpanKind::CacheEvict,
-                    Attrs::Evict { evictions: evicted },
-                );
+            if evicted > 0 {
+                let attrs = Attrs::Evict { evictions: evicted };
+                point_span(obs.as_ref(), ctx_fp, SpanKind::CacheEvict, attrs);
             }
             let backend = PreparedBackend::from_frozen(shared, spec)?.meter_observed(
                 ledger,
@@ -553,9 +525,6 @@ fn fit_context(
         stamped.refit_epoch = epoch;
         spec_fingerprint(&stamped)
     };
-    if obs.enabled() {
-        obs.record(TraceEvent { req: 0, ctx: eff_fp, kind: event });
-    }
     let backend =
         PreparedBackend::from_frozen(frozen, spec)?.meter_observed(ledger, obs.clone(), eff_fp);
     Ok((backend, eff_fp, Some((family, ctx_fp))))
@@ -564,9 +533,9 @@ fn fit_context(
 /// Fits codecs and contexts for a batch; requests that fail to prepare
 /// (codec or backend fit) become [`Prepared::Failed`] without touching the
 /// others, and admission rejections pass through as
-/// [`Prepared::Rejected`]. Emits `context_fit` (first fit),
-/// `fit_dedup_hit` (reuse) and `context_join` (every resolved request)
-/// trace events.
+/// [`Prepared::Rejected`]. Emits a `context_fit` span closed with the
+/// prompt cost (first fit), a `dedup` point span (reuse) and a `join`
+/// point span carrying the context fingerprint (every resolved request).
 fn prepare(
     slots: Vec<Admission>,
     config: &ServeConfig,
@@ -606,13 +575,6 @@ fn prepare(
             };
             let context = match contexts.iter().position(|(k, _)| *k == key) {
                 Some(pos) => {
-                    if obs.enabled() {
-                        obs.record(TraceEvent {
-                            req: fp,
-                            ctx: contexts[pos].1.fp,
-                            kind: EventKind::FitDedupHit,
-                        });
-                    }
                     point_span(obs.as_ref(), contexts[pos].1.fp, SpanKind::Dedup, Attrs::None);
                     pos
                 }
@@ -635,14 +597,6 @@ fn prepare(
                             work_units: prompt.work_units,
                         };
                         obs.span(SpanEvent::close(ctx_fp, SpanKind::ContextFit).with(attrs));
-                        obs.record(TraceEvent {
-                            req: 0,
-                            ctx: ctx_fp,
-                            kind: EventKind::ContextFit {
-                                prompt_tokens: prompt.prompt_tokens,
-                                work_units: prompt.work_units,
-                            },
-                        });
                     }
                     contexts.push((
                         key,
@@ -653,9 +607,6 @@ fn prepare(
             };
             contexts[context].1.requests += 1;
             let ctx_fp = contexts[context].1.fp;
-            if obs.enabled() {
-                obs.record(TraceEvent { req: fp, ctx: ctx_fp, kind: EventKind::ContextJoin });
-            }
             point_span(obs.as_ref(), fp, SpanKind::Join, Attrs::Join { ctx: ctx_fp });
             let samples = request.config.samples.max(1);
             let progress = RobustProgress::new(samples, request.config.robust)?;
@@ -670,7 +621,6 @@ fn prepare(
                 samples,
                 progress: Mutex::new(progress),
                 fp,
-                ctx_fp,
                 breaker,
             }))
         })();
@@ -703,7 +653,8 @@ fn run_task(
         policy: st.request.config.robust,
         source: st.request.source,
         expect: &st.expect,
-        trace: TraceScope { obs, req: st.fp, ctx: st.ctx_fp },
+        obs,
+        req: st.fp,
     };
     run_attempt(
         queue,
@@ -780,20 +731,11 @@ fn run_batch(
     if let Some(policy) = config.breaker {
         for (_, breaker) in overload.breakers() {
             let Some(transition) = breaker.settle_flush(policy) else { continue };
-            if obs.enabled() {
-                let (kind, attrs) = match transition {
-                    BreakerTransition::Tripped { trips } => (
-                        EventKind::BreakerTrip { trips: trips as u32 },
-                        Attrs::BreakerTrip { trips: trips as u32 },
-                    ),
-                    BreakerTransition::Closed { trips } => (
-                        EventKind::BreakerClose { trips: trips as u32 },
-                        Attrs::BreakerClose { trips: trips as u32 },
-                    ),
-                };
-                obs.record(TraceEvent { req: 0, ctx: 0, kind });
-                point_span(obs.as_ref(), 0, SpanKind::Breaker, attrs);
-            }
+            let attrs = match transition {
+                BreakerTransition::Tripped { trips } => Attrs::BreakerTrip { trips: trips as u32 },
+                BreakerTransition::Closed { trips } => Attrs::BreakerClose { trips: trips as u32 },
+            };
+            point_span(obs.as_ref(), 0, SpanKind::Breaker, attrs);
         }
     }
 
@@ -821,9 +763,10 @@ fn run_batch(
 
 /// Resolves one request's settled progress into its outcome: the engine's
 /// median/quorum/fallback ladder, with the resolve itself panic-isolated so
-/// a pathological request cannot take down the batch. Emits the request's
-/// `quorum_resolve` event, plus `fallback` when the classical path
-/// produced the forecast.
+/// a pathological request cannot take down the batch. The request's
+/// `quorum` span covers the resolve and closes with the quorum verdict,
+/// followed by a `fallback` point span when the classical path produced
+/// the forecast.
 fn finalize(
     index: usize,
     base_id: usize,
@@ -867,27 +810,6 @@ fn finalize(
     let generated = progress.cost();
     let outcome = match progress.finish() {
         Ok(run) => {
-            if obs.enabled() {
-                let required = st.request.config.robust.required_valid(st.samples);
-                obs.record(TraceEvent {
-                    req: st.fp,
-                    ctx: st.ctx_fp,
-                    kind: EventKind::QuorumResolve {
-                        valid: run.report.valid_samples as u32,
-                        required: required as u32,
-                        met: run.quorum_met,
-                    },
-                });
-                if !run.quorum_met
-                    && st.request.config.robust.fallback == FallbackPolicy::SeasonalNaive
-                {
-                    obs.record(TraceEvent {
-                        req: st.fp,
-                        ctx: st.ctx_fp,
-                        kind: EventKind::Fallback,
-                    });
-                }
-            }
             let quorum = SpanGuard::open(obs, st.fp, SpanKind::Quorum);
             let policy = st.request.config.robust;
             let attrs = Attrs::Quorum {
@@ -938,8 +860,8 @@ pub fn serve_all(requests: &[ForecastRequest], config: &ServeConfig) -> ServeRun
 }
 
 /// [`serve_all`] with telemetry: every scheduler and sampling step emits
-/// trace events into `obs` (which also folds them into its metrics
-/// registry, when it is an `mc_obs::Observer`). Forecasts and costs are
+/// spans into `obs` (which also derives its metrics registry from them,
+/// when it is an `mc_obs::Observer`). Forecasts and costs are
 /// identical to [`serve_all`] — the recorder only watches. With identical
 /// request content + seeds and a logical-clock observer, the canonical
 /// JSONL export is byte-identical across worker counts and submission
@@ -990,7 +912,7 @@ impl ServeHandle {
         Self::with_recorder(config, Arc::new(NoopRecorder))
     }
 
-    /// A handle whose flushes emit trace events into `obs` (see
+    /// A handle whose flushes emit spans into `obs` (see
     /// [`serve_all_observed`]).
     pub fn with_recorder(config: ServeConfig, obs: Arc<dyn Recorder>) -> Self {
         Self {
@@ -1015,9 +937,6 @@ impl ServeHandle {
         let admitted = self.pending.iter().filter(|slot| slot.is_ok()).count();
         let slot = match self.config.submit_cap {
             Some(cap) if admitted >= cap => {
-                if self.obs.enabled() {
-                    self.obs.record(TraceEvent { req: 0, ctx: 0, kind: EventKind::QueueFull });
-                }
                 point_span(self.obs.as_ref(), 0, SpanKind::QueueFull, Attrs::None);
                 Err(ServeDefect::QueueFull { cap })
             }

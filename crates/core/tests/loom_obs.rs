@@ -11,15 +11,15 @@
 //! [`LogicalClock`] and [`Observer`] are explored across thread
 //! interleavings. The properties proved here are the ones the serve
 //! path's emitters rely on: concurrent recording loses no increments and
-//! no events, whatever the schedule.
+//! no span halves, whatever the schedule.
 #![cfg(loom)]
 
 use mc_loom::sync::Arc;
 use mc_loom::{explore, model, thread};
 
 use mc_obs::{
-    pair_spans, Clock, Counter, DefectClass, EventKind, LogicalClock, MetricsRegistry, Observer,
-    Recorder, SpanGuard, SpanKind, TraceEvent,
+    pair_spans, point_span, Attrs, Clock, Counter, DefectClass, LogicalClock, MetricsRegistry,
+    Observer, SpanGuard, SpanKind,
 };
 
 /// Racing `fetch_add`s on the registry's counters, defect slots and a
@@ -76,39 +76,42 @@ fn logical_clock_ticks_are_unique_across_interleavings() {
     });
 }
 
-/// Event-count conservation through the full recording path (clock stamp,
-/// registry fold, buffer push): everything recorded by racing emitters is
-/// buffered and counted, and the `events` counter equals the buffer
-/// length in every interleaving.
+/// Fact conservation through the one recording path (clock stamp,
+/// registry fold, span-buffer push): every point span recorded by racing
+/// emitters is buffered whole and counted once, and the derived counters
+/// agree with the buffer in every interleaving.
 #[test]
-fn observer_conserves_concurrent_events() {
+fn observer_conserves_concurrent_facts() {
     model(|| {
         let obs = Arc::new(Observer::logical());
         let workers: Vec<_> = (0..2u64)
             .map(|i| {
                 let obs = Arc::clone(&obs);
                 thread::spawn(move || {
-                    obs.record(TraceEvent { req: i, ctx: 0, kind: EventKind::ContextJoin });
-                    obs.record(TraceEvent {
-                        req: i,
-                        ctx: 0,
-                        kind: EventKind::Retry { sample: 0, attempt: 1 },
-                    });
+                    point_span(obs.as_ref(), i, SpanKind::Join, Attrs::Join { ctx: 0 });
+                    let retry = SpanKind::Retry { sample: 0, attempt: 1 };
+                    point_span(obs.as_ref(), i, retry, Attrs::None);
                 })
             })
             .collect();
         for w in workers {
             w.join().expect("worker");
         }
-        let events = obs.events();
-        assert_eq!(events.len(), 4, "no recorded event is lost");
-        assert_eq!(obs.metrics().get(Counter::Events), 4, "registry agrees with the buffer");
+        let spans = obs.spans();
+        assert_eq!(spans.len(), 8, "no recorded half is lost");
+        let facts = spans.iter().filter(|s| s.span.is_fact()).count() as u64;
+        assert_eq!(
+            obs.metrics().get(Counter::SpanCloses),
+            facts,
+            "registry agrees with the buffer"
+        );
         assert_eq!(obs.metrics().get(Counter::ContextJoins), 2);
         assert_eq!(obs.metrics().get(Counter::Retries), 2);
-        let mut stamps: Vec<u64> = events.iter().map(|s| s.t).collect();
+        pair_spans(&spans).expect("point spans pair in every interleaving");
+        let mut stamps: Vec<u64> = spans.iter().map(|s| s.t).collect();
         stamps.sort_unstable();
         stamps.dedup();
-        assert_eq!(stamps.len(), 4, "logical stamps never collide");
+        assert_eq!(stamps.len(), 4, "one stamp per point span, never shared across spans");
     });
 }
 

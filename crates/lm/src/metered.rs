@@ -16,7 +16,7 @@
 use mc_sync::atomic::{AtomicU64, Ordering};
 use mc_sync::Arc;
 
-use mc_obs::{mix, Attrs, EventKind, NoopRecorder, Recorder, SpanEvent, SpanKind, TraceEvent};
+use mc_obs::{mix, Attrs, NoopRecorder, Recorder, SpanEvent, SpanKind};
 
 use crate::cost::InferenceCost;
 use crate::model::{DecodeSession, FrozenLm};
@@ -88,11 +88,11 @@ impl MeteredLm {
         Self::observed(inner, ledger, Arc::new(NoopRecorder), 0)
     }
 
-    /// Like [`MeteredLm::new`], but every completed session additionally
-    /// emits a `session_cost` trace event tagged with the `ctx` context
-    /// fingerprint. Session-drop order is scheduler-dependent, so these
-    /// events feed metrics and wall-clock exports, never the canonical
-    /// trace.
+    /// Like [`MeteredLm::new`], but every forked session is also a
+    /// `session` span scoped to the `ctx` context fingerprint, whose close
+    /// carries the session's metered cost. Session-drop order is
+    /// scheduler-dependent, so these spans feed metrics and wall-clock
+    /// exports, never the canonical trace.
     pub fn observed(
         inner: Arc<dyn FrozenLm>,
         ledger: Arc<CostLedger>,
@@ -175,16 +175,6 @@ impl Drop for MeteredSession<'_> {
     fn drop(&mut self) {
         let cost = self.inner.cost();
         self.ledger.record_session(cost);
-        if self.recorder.enabled() {
-            self.recorder.record(TraceEvent {
-                req: 0,
-                ctx: self.ctx,
-                kind: EventKind::SessionCost {
-                    generated_tokens: cost.generated_tokens,
-                    work_units: cost.work_units,
-                },
-            });
-        }
         if let Some(id) = self.span {
             let attrs = Attrs::Session {
                 generated_tokens: cost.generated_tokens,

@@ -1,6 +1,6 @@
 //! Stable content fingerprints for trace keys.
 //!
-//! Trace events must not be keyed by submission indices or thread ids —
+//! Spans must not be keyed by submission indices or thread ids —
 //! both vary with scheduling, and the canonical export promises
 //! byte-identical traces across worker counts and submission orders.
 //! Instead, requests and contexts are keyed by a fingerprint of their

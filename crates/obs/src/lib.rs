@@ -6,59 +6,60 @@
 //! built on the same [`mc_sync`] shim as the rest of the concurrency
 //! layer so the loom model checker can explore it.
 //!
-//! Four pieces:
+//! One record, four pieces:
 //!
-//! - **[`Clock`](clock::Clock)** — timestamps come from a pluggable
-//!   clock. [`LogicalClock`](clock::LogicalClock) (the default in tests)
-//!   hands out deterministic ticks; [`WallClock`](clock::WallClock) reads
+//! - **[`Clock`]** — timestamps come from a pluggable
+//!   clock. [`LogicalClock`] (the default in tests)
+//!   hands out deterministic ticks; [`WallClock`] reads
 //!   real elapsed nanoseconds and is the *only* sanctioned `Instant::now`
 //!   outside the bench harness (a justified `mc-lint.allow` entry keeps
 //!   the `no-wallclock` invariant alive).
-//! - **[`TraceEvent`](event::TraceEvent)** — a `Copy`, allocation-free
-//!   record of one serve-path happening (`queue_wait`, `context_fit`,
-//!   `attempt`, `retry`, `quorum_resolve`, `fallback`,
-//!   `panic_isolated`, ...). Events carry numeric payloads only, so
-//!   building one for a disabled recorder costs nothing.
-//! - **[`MetricsRegistry`](metrics::MetricsRegistry)** — atomic counters
-//!   and fixed-bucket histograms, routed through [`mc_sync`]'s atomics so
-//!   the registry is loom-checkable exactly like `mc-lm`'s `CostLedger`.
-//!   Its counter and defect-class slots come from [`Counter`] and
-//!   [`DefectClass`], each one `taxonomy!` table defined in this crate
-//!   (`multicast-core` re-exports `DefectClass`).
-//! - **[`Recorder`](record::Recorder) / [`Observer`](record::Observer)**
-//!   — the sink. [`NoopRecorder`](record::NoopRecorder) is the default
+//! - **[`SpanEvent`]** — the only thing a recorder
+//!   accepts: one `Copy`, allocation-free half of a parent-linked span
+//!   (request → context_fit / join / attempt → draw / defect / retry /
+//!   backoff / quorum / fallback, plus scheduler-scoped lanes). Spans
+//!   carry [`Attrs`], a small numeric payload: an
+//!   interval's facts ride on its close half (an attempt's outcome and
+//!   cost, a quorum's verdict), and an instantaneous fact (a defect, a
+//!   shed, a retry) is a zero-width point span. Each fact is one record.
+//! - **[`MetricsRegistry`]** — atomic counters
+//!   and fixed-bucket histograms *derived from the span record*
+//!   ([`MetricsRegistry::record_span`] is the one routing table), routed
+//!   through [`mc_sync`]'s atomics so the registry is loom-checkable
+//!   exactly like `mc-lm`'s `CostLedger`. Its counter and defect-class
+//!   slots come from [`Counter`] and [`DefectClass`], each one
+//!   `taxonomy!` table defined in this crate (`multicast-core`
+//!   re-exports `DefectClass`).
+//! - **[`Recorder`] / [`Observer`]**
+//!   — the sink. [`NoopRecorder`] is the default
 //!   and keeps the hot path free of buffering; [`Observer`] stamps every
-//!   event with its clock, folds it into a registry, and exports JSONL
-//!   traces ([`export`]) plus a metrics snapshot.
+//!   span half with its clock and a wall sidecar, folds it into a
+//!   registry, and exports JSONL ([`export`]) plus a metrics snapshot.
 //!
 //! ## Determinism contract
 //!
-//! With identical seeds and a [`LogicalClock`](clock::LogicalClock), the
+//! With identical seeds and a [`LogicalClock`], the
 //! canonical JSONL export is **byte-identical across worker counts and
 //! submission orders**, matching the serve layer's bit-identical-forecast
 //! guarantee. Two mechanisms make that hold:
 //!
-//! 1. Events are keyed by *content fingerprints* (what was requested),
-//!    never by submission indices or thread ids.
-//! 2. Export distinguishes request-scoped events (attempts, retries,
+//! 1. Deterministic span ids are pure functions of *content
+//!    fingerprints* (what was requested) and `(sample, attempt)`
+//!    coordinates, never of submission indices, thread ids or clocks.
+//! 2. Export distinguishes request-scoped kinds (attempts, retries,
 //!    defects, quorum resolution — schedule-invariant multisets) from
-//!    scheduler-scoped ones (`queue_wait`, `fit_dedup_hit`,
-//!    `session_cost` — whose owners or orderings depend on scheduling).
-//!    The canonical export sorts the former and re-stamps logical times;
-//!    the latter feed the metrics registry and appear only in wall-clock
-//!    (emission-order) exports.
-
-//! ## Spans
+//!    scheduler-scoped ones (`queue_wait`, `cache_lookup`, `session`,
+//!    `dedup`, `breaker`, ... — whose owners or orderings depend on
+//!    scheduling). The canonical export sorts the former and re-stamps
+//!    logical times; the latter feed the metrics registry and appear only
+//!    in wall-clock (emission-order) exports.
 //!
-//! On top of the flat event stream, [`span`] adds causal *intervals*:
-//! parent-linked [`SpanEvent`](span::SpanEvent) open/close pairs
-//! (request → context_fit / attempt → draw / retry / backoff / quorum /
-//! fallback, plus scheduler-scoped queue_wait / cache_lookup / session
-//! lanes) with the same two determinism classes as events and
-//! dual-clock stamps. [`span::pair_spans`] / [`span::build_trees`] /
-//! [`span::blame`] / [`span::critical_path`] reconstruct per-request
-//! trees and attribute end-to-end latency to stages;
-//! [`span::chrome_trace`] renders Perfetto-loadable JSON.
+//! ## Analysis
+//!
+//! [`span::pair_spans`] / [`span::build_trees`] / [`span::blame`] /
+//! [`span::critical_path`] reconstruct per-request trees and attribute
+//! end-to-end latency to stages; [`span::chrome_trace`] renders
+//! Perfetto-loadable JSON.
 
 /// Declares a field-less taxonomy enum from one `Variant => "name"` table.
 ///
@@ -102,7 +103,6 @@ macro_rules! taxonomy {
 
 pub mod attrs;
 pub mod clock;
-pub mod event;
 pub mod export;
 pub mod fingerprint;
 pub mod metrics;
@@ -111,10 +111,9 @@ pub mod span;
 
 pub use attrs::{AttemptClass, Attrs, DefectClass};
 pub use clock::{Clock, LogicalClock, WallClock};
-pub use event::{EventKind, TraceEvent};
 pub use fingerprint::{mix, Fingerprint};
 pub use metrics::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
-pub use record::{ClockMode, NoopRecorder, Observer, Recorder, Stamped};
+pub use record::{ClockMode, NoopRecorder, Observer, Recorder};
 pub use span::{
     blame, build_trees, chrome_trace, critical_path, pair_spans, parent_of, point_span, span_id,
     PairedSpan, SpanError, SpanEvent, SpanGuard, SpanKind, SpanNode, SpanPhase, SpanTree,

@@ -1,8 +1,11 @@
-//! Atomic counters and fixed-bucket histograms.
+//! Atomic counters and fixed-bucket histograms, derived from spans.
 //!
 //! [`MetricsRegistry`] is the aggregate side of observability: where the
-//! trace answers "what happened to request X", the registry answers "how
-//! much of everything happened". It is built exclusively on
+//! span record answers "what happened to request X", the registry answers
+//! "how much of everything happened". It holds no vocabulary of its own:
+//! [`MetricsRegistry::record_span`] derives every counter and histogram
+//! from span halves — open counts per kind, and one fact per close half
+//! from its kind and [`Attrs`]. It is built exclusively on
 //! [`mc_sync::atomic`], so a `--cfg loom` build model-checks it exactly
 //! like `mc-lm`'s `CostLedger` — lost increments would be found by the
 //! loom suite, not production.
@@ -12,24 +15,20 @@
 //! defect taxonomy gets one fixed slot per class
 //! ([`DefectClass::index`]).
 //!
-//! [`MetricsRegistry::record_event`] is an exhaustive match over
-//! [`EventKind`], and clippy's wildcard lints are denied in this file, so
-//! a new event kind fails the build until it is routed here.
+//! `record_span` is an exhaustive match over [`SpanKind`], and clippy's
+//! wildcard lints are denied in this file, so a new span kind fails the
+//! build until it is routed here.
 
 #![deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
 
 use mc_sync::atomic::{AtomicU64, Ordering};
 
-use crate::attrs::Attrs;
-use crate::attrs::{AttemptClass, DefectClass};
-use crate::event::{EventKind, TraceEvent};
+use crate::attrs::{AttemptClass, Attrs, DefectClass};
 use crate::span::{SpanEvent, SpanKind, SpanPhase, SPAN_KINDS};
 
 taxonomy! {
     /// Every counter the registry tracks.
     pub enum Counter {
-        /// Events recorded (any kind).
-        Events => "events",
         /// Task dequeues observed by the worker pool.
         QueueWaits => "queue_waits",
         /// Requests that reused an already-fitted frozen context.
@@ -229,68 +228,6 @@ impl MetricsRegistry {
         &self.attempt_tokens
     }
 
-    /// Folds one trace event into the counters and histograms. This is
-    /// the single routing table from the event vocabulary to metrics;
-    /// [`crate::record::Observer`] calls it for every recorded event.
-    pub fn record_event(&self, event: &TraceEvent) {
-        self.incr(Counter::Events);
-        match event.kind {
-            EventKind::QueueWait { ticks } => {
-                self.incr(Counter::QueueWaits);
-                self.queue_wait.observe(ticks);
-            }
-            EventKind::FitDedupHit => self.incr(Counter::DedupHits),
-            EventKind::SessionCost { generated_tokens, work_units } => {
-                self.incr(Counter::Sessions);
-                self.add(Counter::SessionTokens, generated_tokens);
-                self.add(Counter::SessionWork, work_units);
-            }
-            EventKind::ContextFit { prompt_tokens, work_units: _ } => {
-                self.incr(Counter::ContextFits);
-                self.add(Counter::PromptTokens, prompt_tokens);
-            }
-            EventKind::ContextJoin => self.incr(Counter::ContextJoins),
-            EventKind::Attempt { outcome, generated_tokens, work_units, .. } => {
-                self.incr(Counter::Attempts);
-                self.incr(match outcome {
-                    AttemptClass::Valid => Counter::AttemptsValid,
-                    AttemptClass::Defective => Counter::AttemptsDefective,
-                    AttemptClass::Infra => Counter::AttemptsInfra,
-                    AttemptClass::Panicked => Counter::AttemptsPanicked,
-                });
-                self.add(Counter::GeneratedTokens, generated_tokens);
-                self.add(Counter::WorkUnits, work_units);
-                self.attempt_tokens.observe(generated_tokens);
-            }
-            EventKind::Retry { .. } => self.incr(Counter::Retries),
-            EventKind::Defect { class, .. } => {
-                self.incr(Counter::Defects);
-                self.add_defect(class);
-            }
-            EventKind::PanicIsolated { .. } => self.incr(Counter::PanicsIsolated),
-            EventKind::QuorumResolve { met, .. } => {
-                self.incr(Counter::QuorumResolves);
-                if !met {
-                    self.incr(Counter::QuorumFailures);
-                }
-            }
-            EventKind::Fallback => self.incr(Counter::Fallbacks),
-            EventKind::QuotaExhausted { .. } => self.incr(Counter::QuotaRejections),
-            EventKind::Shed { .. } => self.incr(Counter::Sheds),
-            EventKind::Backoff { .. } => self.incr(Counter::Backoffs),
-            EventKind::QueueFull => self.incr(Counter::QueueFullRejections),
-            EventKind::BreakerTrip { .. } => self.incr(Counter::BreakerTrips),
-            EventKind::BreakerClose { .. } => self.incr(Counter::BreakerCloses),
-            EventKind::BreakerReject => self.incr(Counter::BreakerRejections),
-            EventKind::CacheHit => self.incr(Counter::CacheHits),
-            EventKind::CacheMiss => self.incr(Counter::CacheMisses),
-            EventKind::CacheRefit { .. } => self.incr(Counter::CacheRefits),
-            EventKind::CacheEvict { evictions } => {
-                self.add(Counter::CacheEvictions, evictions);
-            }
-        }
-    }
-
     /// Folds one span half into the counters and histograms. This is the
     /// single routing table from the span record to metrics;
     /// [`crate::record::Observer`] calls it for every span half. An open
@@ -377,17 +314,6 @@ impl MetricsRegistry {
                 | SpanKind::Breaker,
                 _,
             ) => {}
-        }
-    }
-
-    /// Differential check (transitional): the parent's span counting only.
-    pub(crate) fn count_half(&self, span: &SpanEvent) {
-        match span.phase {
-            SpanPhase::Open => {
-                self.incr(Counter::SpanOpens);
-                self.span_opens[span.kind.index()].fetch_add(1, Ordering::Relaxed);
-            }
-            SpanPhase::Close => self.incr(Counter::SpanCloses),
         }
     }
 
@@ -586,76 +512,6 @@ mod tests {
         for workers in [2, 3, 8] {
             assert_eq!(snapshot_with(workers), reference, "workers={workers}");
         }
-    }
-
-    #[test]
-    fn event_routing_covers_every_kind() {
-        let reg = MetricsRegistry::new();
-        let ev = |kind| TraceEvent { req: 1, ctx: 2, kind };
-        reg.record_event(&ev(EventKind::QueueWait { ticks: 5 }));
-        reg.record_event(&ev(EventKind::FitDedupHit));
-        reg.record_event(&ev(EventKind::SessionCost { generated_tokens: 7, work_units: 70 }));
-        reg.record_event(&ev(EventKind::ContextFit { prompt_tokens: 11, work_units: 110 }));
-        reg.record_event(&ev(EventKind::ContextJoin));
-        reg.record_event(&ev(EventKind::Attempt {
-            sample: 0,
-            attempt: 0,
-            outcome: AttemptClass::Valid,
-            defects: 0,
-            generated_tokens: 7,
-            work_units: 70,
-        }));
-        reg.record_event(&ev(EventKind::Retry { sample: 0, attempt: 1 }));
-        reg.record_event(&ev(EventKind::Defect {
-            sample: 0,
-            attempt: 0,
-            class: DefectClass::Panicked,
-            fatal: true,
-        }));
-        reg.record_event(&ev(EventKind::PanicIsolated { sample: 0, attempt: 0 }));
-        reg.record_event(&ev(EventKind::QuorumResolve { valid: 0, required: 1, met: false }));
-        reg.record_event(&ev(EventKind::Fallback));
-        reg.record_event(&ev(EventKind::QuotaExhausted { client: 3 }));
-        reg.record_event(&ev(EventKind::Shed { priority: 2 }));
-        reg.record_event(&ev(EventKind::Backoff { sample: 0, attempt: 1, delay: 2 }));
-        reg.record_event(&ev(EventKind::QueueFull));
-        reg.record_event(&ev(EventKind::BreakerTrip { trips: 1 }));
-        reg.record_event(&ev(EventKind::BreakerClose { trips: 1 }));
-        reg.record_event(&ev(EventKind::BreakerReject));
-        reg.record_event(&ev(EventKind::CacheHit));
-        reg.record_event(&ev(EventKind::CacheMiss));
-        reg.record_event(&ev(EventKind::CacheRefit { appended: 12, epoch: 1 }));
-        reg.record_event(&ev(EventKind::CacheEvict { evictions: 3 }));
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("events"), 22);
-        assert_eq!(snap.counter("queue_waits"), 1);
-        assert_eq!(snap.counter("fit_dedup_hits"), 1);
-        assert_eq!(snap.counter("sessions"), 1);
-        assert_eq!(snap.counter("session_tokens"), 7);
-        assert_eq!(snap.counter("prompt_tokens"), 11);
-        assert_eq!(snap.counter("attempts"), 1);
-        assert_eq!(snap.counter("attempts_valid"), 1);
-        assert_eq!(snap.counter("generated_tokens"), 7);
-        assert_eq!(snap.counter("retries"), 1);
-        assert_eq!(snap.counter("defects"), 1);
-        assert_eq!(snap.defects[DefectClass::Panicked.index()], 1, "panic defect class");
-        assert_eq!(snap.counter("panics_isolated"), 1);
-        assert_eq!(snap.counter("quorum_resolves"), 1);
-        assert_eq!(snap.counter("quorum_failures"), 1);
-        assert_eq!(snap.counter("fallbacks"), 1);
-        assert_eq!(snap.counter("quota_rejections"), 1);
-        assert_eq!(snap.counter("sheds"), 1);
-        assert_eq!(snap.counter("backoffs"), 1);
-        assert_eq!(snap.counter("queue_full_rejections"), 1);
-        assert_eq!(snap.counter("breaker_trips"), 1);
-        assert_eq!(snap.counter("breaker_closes"), 1);
-        assert_eq!(snap.counter("breaker_rejections"), 1);
-        assert_eq!(snap.counter("cache_hits"), 1);
-        assert_eq!(snap.counter("cache_misses"), 1);
-        assert_eq!(snap.counter("cache_refits"), 1);
-        assert_eq!(snap.counter("cache_evictions"), 3);
-        assert_eq!(reg.queue_wait().count(), 1);
-        assert_eq!(reg.attempt_tokens().sum(), 7);
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! Recorders: where trace events go.
+//! Recorders: where spans go.
 //!
-//! The serve path emits [`TraceEvent`]s unconditionally through a
+//! The serve path emits [`SpanEvent`] halves unconditionally through a
 //! [`Recorder`]; what happens next is the recorder's business:
 //!
-//! - [`NoopRecorder`] — the default. `enabled()` is `false`, `record` is
-//!   an empty body, so an un-instrumented serve pays a virtual call and
-//!   nothing else: no clock reads, no locking, no allocation.
-//! - [`Observer`] — the real sink. Stamps each event with its
-//!   [`Clock`], folds it into a [`MetricsRegistry`] and appends it to an
-//!   in-memory buffer for JSONL export ([`crate::export`]).
+//! - [`NoopRecorder`] — the default. `enabled()` is `false` and the span
+//!   methods are empty bodies, so an un-instrumented serve pays a virtual
+//!   call and nothing else: no clock reads, no locking, no allocation.
+//! - [`Observer`] — the real sink. Stamps each span half with its
+//!   [`Clock`] and a wall-clock sidecar, folds it into a
+//!   [`MetricsRegistry`] and appends it to the one in-memory span buffer
+//!   for JSONL export ([`crate::export`]) and analysis
+//!   ([`crate::span::pair_spans`]).
 //!
 //! The buffer lock and the registry both live behind [`mc_sync`], so the
 //! `--cfg loom` suite explores a recording observer like any other piece
@@ -17,21 +19,21 @@
 use mc_sync::Mutex;
 
 use crate::clock::{Clock, LogicalClock, WallClock};
-use crate::event::TraceEvent;
 use crate::export;
 use crate::metrics::MetricsRegistry;
 use crate::span::{SpanEvent, StampedSpan};
 
-/// A sink for trace events. Implementations must be cheap when disabled:
-/// emitters consult [`Recorder::enabled`] before doing any per-event
-/// work beyond constructing the (Copy, allocation-free) event itself.
+/// A sink for span halves. Implementations must be cheap when disabled:
+/// emitters consult [`Recorder::enabled`] before doing any per-span work
+/// beyond constructing the (Copy, allocation-free) span half itself.
 pub trait Recorder: Send + Sync {
-    /// Whether events are actually being kept. Emitters may skip
-    /// expensive enumeration (e.g. per-defect events) when `false`.
+    /// Whether spans are actually being kept. Emitters may skip
+    /// expensive enumeration (e.g. per-defect point spans) when `false`.
     fn enabled(&self) -> bool;
 
     /// A timestamp from the recorder's clock (0 for disabled recorders).
-    /// Emitters use deltas of this for duration-style events.
+    /// Emitters use it to back-date retroactive opens and to measure
+    /// duration attributes (`queue_wait` ticks).
     fn now(&self) -> u64;
 
     /// A wall-clock sidecar reading (elapsed nanos; 0 for recorders
@@ -41,18 +43,15 @@ pub trait Recorder: Send + Sync {
         0
     }
 
-    /// Accepts one event.
-    fn record(&self, event: TraceEvent);
-
     /// Accepts one span half, stamping it with both clocks now. The
-    /// default drops it, so plain recorders (and [`NoopRecorder`]) are
-    /// span-oblivious for free.
+    /// default drops it.
     fn span(&self, _span: SpanEvent) {}
 
     /// Accepts one span half with caller-supplied stamps — the
-    /// retroactive-open path: a worker that blocked on a queue reads
+    /// retroactive-open path (a worker that blocked on a queue reads
     /// `now()`/`wall()` before waiting and back-dates the `queue_wait`
-    /// open to them once it knows the wait actually produced work.
+    /// open to them once it knows the wait actually produced work) and
+    /// the one-stamp point span ([`crate::span::point_span`]).
     fn span_at(&self, _span: SpanEvent, _t: u64, _wall: u64) {}
 }
 
@@ -68,17 +67,6 @@ impl Recorder for NoopRecorder {
     fn now(&self) -> u64 {
         0
     }
-
-    fn record(&self, _event: TraceEvent) {}
-}
-
-/// One buffered event with its timestamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Stamped {
-    /// Clock reading at record time (logical tick or elapsed nanos).
-    pub t: u64,
-    /// The recorded event.
-    pub event: TraceEvent,
 }
 
 /// Which clock an [`Observer`] stamps with — and therefore which export
@@ -98,45 +86,39 @@ enum ClockSource {
     Wall(WallClock),
 }
 
-/// A recording sink: clock-stamped event buffer plus metrics registry.
+/// A recording sink: one dual-clock-stamped span buffer plus the metrics
+/// registry derived from it.
 ///
-/// Spans are dual-clock stamped: `t` from the observer's own clock (the
-/// determinism contract), `wall` from a sidecar [`WallClock`] started at
-/// construction (real durations for humans; dropped from canonical
+/// Every half carries two stamps: `t` from the observer's own clock (the
+/// determinism contract) and `wall` from a sidecar [`WallClock`] started
+/// at construction (real durations for humans; dropped from canonical
 /// exports).
 pub struct Observer {
     clock: ClockSource,
     sidecar: WallClock,
-    buf: Mutex<Vec<Stamped>>,
     spans: Mutex<Vec<StampedSpan>>,
     metrics: MetricsRegistry,
-    span_metrics: MetricsRegistry,
 }
 
 impl Observer {
     /// An observer on a fresh [`LogicalClock`] — the deterministic
     /// default for tests and trace comparison.
     pub fn logical() -> Self {
-        Self {
-            clock: ClockSource::Logical(LogicalClock::new()),
-            sidecar: WallClock::start(),
-            buf: Mutex::new(Vec::new()),
-            spans: Mutex::new(Vec::new()),
-            metrics: MetricsRegistry::new(),
-            span_metrics: MetricsRegistry::new(),
-        }
+        Self::with_clock(ClockSource::Logical(LogicalClock::new()))
     }
 
     /// An observer on a [`WallClock`] started now — for live profiling;
     /// traces are *not* reproducible.
     pub fn wall() -> Self {
+        Self::with_clock(ClockSource::Wall(WallClock::start()))
+    }
+
+    fn with_clock(clock: ClockSource) -> Self {
         Self {
-            clock: ClockSource::Wall(WallClock::start()),
+            clock,
             sidecar: WallClock::start(),
-            buf: Mutex::new(Vec::new()),
             spans: Mutex::new(Vec::new()),
             metrics: MetricsRegistry::new(),
-            span_metrics: MetricsRegistry::new(),
         }
     }
 
@@ -148,22 +130,9 @@ impl Observer {
         }
     }
 
-    /// The metrics registry every recorded event is folded into.
+    /// The metrics registry every recorded span half is folded into.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-
-    /// A copy of everything recorded so far, in emission order.
-    pub fn events(&self) -> Vec<Stamped> {
-        self.buf.lock().expect("trace buffer lock").clone()
-    }
-
-    /// The JSONL export of everything recorded so far: canonical
-    /// (sorted, re-stamped, deterministic events only) in
-    /// [`ClockMode::Logical`], emission-order with real timestamps in
-    /// [`ClockMode::Wall`]. See [`crate::export`].
-    pub fn to_jsonl(&self) -> String {
-        export::to_jsonl(&self.events(), self.mode())
     }
 
     /// A copy of every span half recorded so far, in emission order.
@@ -196,12 +165,6 @@ impl Recorder for Observer {
         self.sidecar.now()
     }
 
-    fn record(&self, event: TraceEvent) {
-        let t = self.now();
-        self.metrics.record_event(&event);
-        self.buf.lock().expect("trace buffer lock").push(Stamped { t, event });
-    }
-
     fn span(&self, span: SpanEvent) {
         let t = self.now();
         let wall = self.sidecar.now();
@@ -209,66 +172,41 @@ impl Recorder for Observer {
     }
 
     fn span_at(&self, span: SpanEvent, t: u64, wall: u64) {
-        self.metrics.count_half(&span);
-        self.span_metrics.record_span(&span);
+        self.metrics.record_span(&span);
         self.spans.lock().expect("span buffer lock").push(StampedSpan { t, wall, span });
-    }
-}
-
-impl Drop for Observer {
-    /// Differential check (transitional): the span record reproduces the
-    /// canonical event rows and every fact counter.
-    fn drop(&mut self) {
-        if std::thread::panicking() || self.mode() != ClockMode::Logical {
-            return;
-        }
-        let (events, spans) = (self.events(), self.spans());
-        if events.is_empty() || spans.is_empty() {
-            return;
-        }
-        let old = export::to_jsonl(&events, ClockMode::Logical);
-        let new = export::project_events(&spans);
-        assert!(old == new, "span projection diverged from the event trace:\n{old}\n----\n{new}");
-        let (a, b) = (self.metrics.snapshot(), self.span_metrics.snapshot());
-        for (x, y) in a.counters.iter().zip(&b.counters) {
-            if !matches!(x.0, "events" | "span_opens" | "span_closes") {
-                assert_eq!(x, y, "counter diverged");
-            }
-        }
-        assert_eq!(a.defects, b.defects, "defect classes diverged");
-        assert_eq!(a.histograms[1], b.histograms[1], "attempt_tokens diverged");
-        assert_eq!(a.histograms[0].count, b.histograms[0].count, "queue_wait count diverged");
-        eprintln!("DIFFERENTIAL-OK rows={}", old.lines().count());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
+    use crate::attrs::Attrs;
     use crate::metrics::Counter;
+    use crate::span::{point_span, SpanGuard, SpanKind, SpanPhase};
 
     #[test]
     fn noop_recorder_is_disabled_and_silent() {
         let noop = NoopRecorder;
         assert!(!noop.enabled());
         assert_eq!(noop.now(), 0);
-        noop.record(TraceEvent { req: 1, ctx: 2, kind: EventKind::Fallback });
+        assert_eq!(noop.wall(), 0);
+        point_span(&noop, 1, SpanKind::Fallback, Attrs::None);
+        noop.span(SpanEvent::open(1, SpanKind::Request));
     }
 
     #[test]
-    fn observer_stamps_buffers_and_counts() {
+    fn observer_stamps_buffers_and_derives_counters() {
         let obs = Observer::logical();
         assert!(obs.enabled());
         assert_eq!(obs.mode(), ClockMode::Logical);
-        obs.record(TraceEvent { req: 1, ctx: 0, kind: EventKind::ContextJoin });
-        obs.record(TraceEvent { req: 2, ctx: 0, kind: EventKind::Fallback });
-        let events = obs.events();
-        assert_eq!(events.len(), 2);
-        assert!(events[0].t < events[1].t, "logical stamps are ordered");
-        assert_eq!(obs.metrics().get(Counter::Events), 2);
+        point_span(&obs, 1, SpanKind::Join, Attrs::Join { ctx: 9 });
+        point_span(&obs, 2, SpanKind::Fallback, Attrs::None);
+        let spans = obs.spans();
+        assert_eq!(spans.len(), 4);
+        assert!(spans[1].t < spans[2].t, "logical stamps are ordered");
         assert_eq!(obs.metrics().get(Counter::ContextJoins), 1);
         assert_eq!(obs.metrics().get(Counter::Fallbacks), 1);
+        assert_eq!(obs.metrics().get(Counter::SpanCloses), 2);
     }
 
     #[test]
@@ -279,31 +217,30 @@ mod tests {
                 let obs = &obs;
                 scope.spawn(move || {
                     for i in 0..250 {
-                        obs.record(TraceEvent { req: i, ctx: 0, kind: EventKind::ContextJoin });
+                        point_span(obs, i, SpanKind::Join, Attrs::Join { ctx: 0 });
                     }
                 });
             }
         });
-        let events = obs.events();
-        assert_eq!(events.len(), 1000);
-        assert_eq!(obs.metrics().get(Counter::Events), 1000);
-        let mut stamps: Vec<u64> = events.iter().map(|s| s.t).collect();
+        let spans = obs.spans();
+        assert_eq!(spans.len(), 2000);
+        assert_eq!(obs.metrics().get(Counter::ContextJoins), 1000);
+        let mut stamps: Vec<u64> = spans.iter().map(|s| s.t).collect();
         stamps.sort_unstable();
         stamps.dedup();
-        assert_eq!(stamps.len(), 1000, "logical stamps never collide");
+        assert_eq!(stamps.len(), 1000, "one stamp per point span, never shared across spans");
     }
 
     #[test]
     fn wall_observer_reports_wall_mode() {
         let obs = Observer::wall();
         assert_eq!(obs.mode(), ClockMode::Wall);
-        obs.record(TraceEvent { req: 0, ctx: 0, kind: EventKind::Fallback });
-        assert_eq!(obs.events().len(), 1);
+        point_span(&obs, 0, SpanKind::Fallback, Attrs::None);
+        assert_eq!(obs.spans().len(), 2);
     }
 
     #[test]
     fn observer_dual_stamps_spans_and_counts_them() {
-        use crate::span::{SpanGuard, SpanKind, SpanPhase};
         let obs = Observer::logical();
         {
             let _req = SpanGuard::open(&obs, 7, SpanKind::Request);
@@ -318,12 +255,15 @@ mod tests {
         assert!(spans[0].wall <= spans[3].wall, "wall sidecar is monotone");
         assert_eq!(obs.metrics().get(Counter::SpanOpens), 2);
         assert_eq!(obs.metrics().get(Counter::SpanCloses), 2);
-        assert_eq!(obs.metrics().get(Counter::Events), 0, "spans are not events");
+        assert_eq!(
+            obs.metrics().get(Counter::QuorumResolves),
+            0,
+            "a quorum dropped without its attributes is not a fact"
+        );
     }
 
     #[test]
     fn span_at_backdates_the_open_half() {
-        use crate::span::{SpanEvent, SpanKind};
         let obs = Observer::logical();
         let (t0, w0) = (obs.now(), obs.wall());
         let id = crate::fingerprint::mix(t0, 0x51);
@@ -332,14 +272,5 @@ mod tests {
         let spans = obs.spans();
         assert_eq!(spans[0].t, t0, "open carries the pre-wait stamp");
         assert!(spans[1].t > t0);
-    }
-
-    #[test]
-    fn noop_recorder_ignores_spans() {
-        use crate::span::{point_span, SpanKind};
-        let noop = NoopRecorder;
-        assert_eq!(noop.wall(), 0);
-        point_span(&noop, 1, SpanKind::Fallback, crate::attrs::Attrs::None);
-        noop.span(crate::span::SpanEvent::open(1, SpanKind::Request));
     }
 }

@@ -1,26 +1,32 @@
-//! Causal spans: parent-linked intervals over the serve pipeline.
+//! Causal spans: parent-linked intervals over the serve pipeline — the
+//! one trace record.
 //!
-//! Where a [`TraceEvent`](crate::event::TraceEvent) records that
-//! something *happened*, a [`SpanEvent`] records that something *took
-//! time*: every span opens once and closes once, carries a stable
-//! [`SpanId`]-style identifier plus its parent's, and the pair of
-//! (open, close) stamps bounds the interval. The vocabulary mirrors the
+//! A [`SpanEvent`] records that something *took time*: every span opens
+//! once and closes once, carries a stable id plus its parent's, and the
+//! pair of (open, close) stamps bounds the interval. Its close half also
+//! carries the interval's facts ([`Attrs`]); an instantaneous fact is a
+//! zero-width point span ([`point_span`]). The vocabulary mirrors the
 //! pipeline's causal structure:
 //!
 //! ```text
-//! request ─┬─ context_fit            (one per frozen context, ctx-keyed)
+//! request ─┬─ join                   (point: the context it resolved to)
 //!          ├─ attempt(sample, n) ─┬─ draw
-//!          │                      ├─ retry     (point span)
-//!          │                      └─ backoff   (point span)
-//!          ├─ quorum
-//!          └─ fallback              (point span)
-//! shed                              (point span, admission rejection)
-//! queue_wait / cache_lookup / session   (scheduler-scoped sidecar lanes)
+//!          │   (close: outcome,   ├─ defect          (point, per defect)
+//!          │    defects, cost)    ├─ panic_isolated  (point)
+//!          │                      ├─ retry           (point)
+//!          │                      └─ backoff         (point: delay)
+//!          ├─ quorum                 (close: valid, required, met)
+//!          └─ fallback               (point)
+//! context_fit                        (one per frozen context, ctx-keyed;
+//!                                     close: prompt cost)
+//! shed / quota                       (points, admission rejections)
+//! queue_wait / cache_lookup / session    (scheduler-scoped lanes)
+//! dedup / queue_full / breaker / cache_evict (scheduler-scoped points)
 //! ```
 //!
 //! ## Determinism contract (dual clocks)
 //!
-//! Spans split into the same two determinism classes as events:
+//! Spans split into two determinism classes:
 //!
 //! - **Deterministic** kinds ([`SpanKind::deterministic`]) have ids that
 //!   are *pure functions* of content fingerprints and `(sample, attempt)`
@@ -29,9 +35,11 @@
 //!   multiset is invariant to worker count and submission order, so the
 //!   canonical export ([`crate::export::spans_to_jsonl`] in logical mode)
 //!   is byte-identical across schedules.
-//! - **Scheduler-scoped** kinds (`queue_wait`, `cache_lookup`, `session`)
-//!   key their ids off a logical tick at open time; they appear only in
-//!   the wall-clock sidecar export and the metrics registry.
+//! - **Scheduler-scoped** kinds (`queue_wait`, `cache_lookup`, `session`,
+//!   and the `dedup`, `queue_full`, `breaker`, `cache_evict` points)
+//!   appear only in the wall-clock sidecar export and the metrics
+//!   registry. The interval lanes key their ids off a logical tick at
+//!   open time.
 //!
 //! Every recorded span carries *both* stamps ([`StampedSpan`]): the
 //! observer's own clock (`t`, logical ticks in deterministic runs) and a
@@ -72,9 +80,8 @@ impl SpanPhase {
     }
 }
 
-/// What a span's interval covers. `Copy` and payload-light for the same
-/// reason [`crate::event::EventKind`] is: building one for a disabled
-/// recorder must cost nothing.
+/// What a span's interval covers. `Copy` and payload-light: building one
+/// for a disabled recorder must cost nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
     /// A request's whole life inside a flush: opened when preparation
@@ -215,6 +222,22 @@ impl SpanKind {
         }
     }
 
+    /// Whether the kind is always a zero-width point span
+    /// ([`point_span`]) — an instantaneous fact rather than an interval.
+    pub fn is_point(&self) -> bool {
+        !matches!(
+            self,
+            SpanKind::Request
+                | SpanKind::ContextFit
+                | SpanKind::Attempt { .. }
+                | SpanKind::Draw { .. }
+                | SpanKind::Quorum
+                | SpanKind::QueueWait
+                | SpanKind::CacheLookup
+                | SpanKind::Session
+        )
+    }
+
     /// `(sample, attempt)` coordinates, when the span has them.
     pub fn coords(&self) -> (u32, u32) {
         match *self {
@@ -338,8 +361,10 @@ pub struct SpanEvent {
     /// Parent span id (0 = root).
     pub parent: u64,
     /// Content fingerprint scoping the span: the request fingerprint for
-    /// request-scoped kinds, the context fingerprint for
-    /// `context_fit`/`cache_lookup`/`session`, 0 for `queue_wait`.
+    /// request-scoped kinds (and a breaker rejection), the context
+    /// fingerprint for `context_fit`/`cache_lookup`/`session`/`dedup`/
+    /// `cache_evict`, 0 for `queue_wait`, `queue_full` and breaker
+    /// transitions.
     pub req: u64,
     /// What the interval covers.
     pub kind: SpanKind,
@@ -382,6 +407,12 @@ impl SpanEvent {
     /// This half carrying `attrs`.
     pub fn with(self, attrs: Attrs) -> Self {
         Self { attrs, ..self }
+    }
+
+    /// Whether this half is a fact record: a close carrying attributes,
+    /// or the close of a point kind, whose occurrence is the fact.
+    pub fn is_fact(&self) -> bool {
+        self.phase == SpanPhase::Close && (self.attrs != Attrs::None || self.kind.is_point())
     }
 }
 

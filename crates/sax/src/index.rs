@@ -1,4 +1,4 @@
-//! In-memory iSAX index (Shieh & Keogh 2008 — the paper's ref [29]).
+//! In-memory iSAX index (Shieh & Keogh 2008 — the paper's ref \[29\]).
 //!
 //! A tree over iSAX words with **per-symbol cardinality promotion**:
 //!

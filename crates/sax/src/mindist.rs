@@ -1,5 +1,5 @@
 //! MINDIST: the lower-bounding distance between SAX words
-//! (Lin et al.; carried into iSAX, the paper's ref [29]).
+//! (Lin et al.; carried into iSAX, the paper's ref \[29\]).
 //!
 //! `MINDIST(Q̂, Ĉ) = sqrt(n/w) * sqrt(Σ dist(q̂_i, ĉ_i)²)` where the
 //! per-symbol distance is 0 for adjacent-or-equal cells and otherwise the

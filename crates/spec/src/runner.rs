@@ -3,7 +3,7 @@
 //!
 //! [`Runner`] takes a parsed [`ScenarioSpec`], lowers it
 //! ([`Lowered::lower`]) and dispatches on [`ScenarioKind`]. Scenarios
-//! that only drive forecaster traits live in [`scenarios`](crate::scenarios);
+//! that only drive forecaster traits live in [`scenarios`];
 //! the ones that exercise the engine split or the serve scheduler
 //! (prompt reuse, concurrent serving, telemetry, serve chaos, cache
 //! reuse) are implemented here, because the `no-adhoc-bench` lint forbids every
@@ -122,7 +122,7 @@ pub struct RunOptions {
     pub bench_dir: Option<PathBuf>,
     /// Figures scenario: render only this figure (`fig2`..`fig8`).
     pub figure: Option<String>,
-    /// Telemetry scenario: export the canonical JSONL trace here.
+    /// Telemetry scenario: export the canonical span record (JSONL) here.
     pub trace_path: Option<PathBuf>,
     /// Latency-audit scenario: export the Chrome trace-event JSON
     /// (Perfetto-loadable) here.
@@ -463,10 +463,10 @@ impl Runner {
                 return Err(RunError::invariant("telemetry batch request failed"));
             }
         }
-        let jsonl = obs.to_jsonl();
+        let jsonl = obs.spans_to_jsonl();
         if let Some(path) = &self.opts.trace_path {
             std::fs::write(path, &jsonl)?;
-            notes.push(format!("wrote {} ({} events)", path.display(), jsonl.lines().count()));
+            notes.push(format!("wrote {} ({} span halves)", path.display(), jsonl.lines().count()));
         }
         let snapshot = obs.metrics().snapshot();
         if self.opts.print_metrics {
@@ -495,10 +495,11 @@ impl Runner {
         let _ = writeln!(
             md,
             "\nNo-op overhead: {:+.1} % (best-of-3; the disabled recorder adds one \
-             virtual call per probe and must stay in the noise). Canonical trace: \
-             {} JSONL events, byte-identical across worker counts and submission \
-             orders (`tests/serving.rs`).\n",
+             virtual call per probe and must stay in the noise). Canonical span \
+             record: {} fact records in {} JSONL span halves, byte-identical across \
+             worker counts and submission orders (`tests/serving.rs`).\n",
             (disabled / bare - 1.0) * 100.0,
+            fact_records(&obs),
             jsonl.lines().count()
         );
         md.push_str("## Metrics snapshot (recorded run)\n\n");
@@ -629,7 +630,7 @@ impl Runner {
         spends.sort_unstable();
 
         // Scheduling independence under chaos: one admitted wave, canonical
-        // event and span traces byte-identical across worker counts.
+        // span record byte-identical across worker counts.
         let reference_wave = &load[0];
         let observe_at = |w: usize| {
             let obs = Arc::new(Observer::logical());
@@ -638,16 +639,9 @@ impl Runner {
             obs
         };
         let reference_obs = observe_at(1);
-        let reference = reference_obs.to_jsonl();
-        let reference_spans = reference_obs.spans_to_jsonl();
+        let reference = reference_obs.spans_to_jsonl();
         for w in [2usize, workers.max(2)] {
-            let other = observe_at(w);
-            if other.to_jsonl() != reference {
-                return Err(RunError::invariant(format!(
-                    "{w} workers changed the canonical chaos trace"
-                )));
-            }
-            if other.spans_to_jsonl() != reference_spans {
+            if observe_at(w).spans_to_jsonl() != reference {
                 return Err(RunError::invariant(format!(
                     "{w} workers changed the canonical span trace"
                 )));
@@ -710,7 +704,7 @@ impl Runner {
         t.row(vec!["worker stalls".into(), "0".into(), "asserted".into()]);
         t.row(vec![
             "trace determinism (1/2/N workers)".into(),
-            format!("{} events", reference.lines().count()),
+            format!("{} facts", fact_records(&reference_obs)),
             "byte-identical".into(),
         ]);
         let path = t.emit(&self.opts.results_dir, "serve_chaos.md")?;
@@ -719,7 +713,8 @@ impl Runner {
             return Err(RunError::invariant("every request accounted for exactly once"));
         }
 
-        let trace_events = obs.to_jsonl().lines().count();
+        // `trace_events` counts the canonical record's fact records.
+        let trace_events = fact_records(&obs);
         let mut bench = BenchReport::new(l.kind, &l.name);
         bench
             .push("submitted", submitted as f64)
@@ -779,6 +774,7 @@ impl Runner {
         struct Pass {
             outcomes: Vec<ServeOutcome>,
             trace: String,
+            facts: usize,
             stats: Option<CacheStats>,
             seconds: f64,
         }
@@ -786,7 +782,7 @@ impl Runner {
         // One pass of the full load through a single handle: warm keeps
         // the lowered cache, cold serves the identical load with the
         // cache off. Flush boundaries and workers match, so canonical
-        // traces must agree byte-for-byte (cache events are
+        // span records must agree byte-for-byte (cache spans are
         // scheduler-scoped, and a warm hit re-uses the cold context
         // fingerprint).
         let run = |warm: bool, w: usize| -> Result<Pass, RunError> {
@@ -808,7 +804,8 @@ impl Runner {
                 ids.iter().map(|&id| handle.collect(id)).collect::<Result<Vec<_>, _>>().map_err(
                     |e| RunError::invariant(format!("every submitted id collects: {e}")),
                 )?;
-            Ok(Pass { outcomes, trace: obs.to_jsonl(), stats: handle.cache_stats(), seconds })
+            let (trace, facts) = (obs.spans_to_jsonl(), fact_records(&obs));
+            Ok(Pass { outcomes, trace, facts, stats: handle.cache_stats(), seconds })
         };
 
         let mut cold = run(false, workers)?;
@@ -971,7 +968,7 @@ impl Runner {
         ]);
         t.row(vec![
             "trace determinism (1/2/N workers, warm vs cold)".into(),
-            format!("{} events", warm.trace.lines().count()),
+            format!("{} facts", warm.facts),
             "byte-identical".into(),
         ]);
         t.row(vec![
@@ -997,7 +994,7 @@ impl Runner {
             .push("p99_spend_tokens", percentile(&spends, 0.99) as f64)
             .push("prompt_tokens", prompt_tokens as f64)
             .push("generated_tokens", generated_tokens as f64)
-            .push("trace_events", warm.trace.lines().count() as f64);
+            .push("trace_events", warm.facts as f64);
         RunSummary::of(l, vec![path], Some(bench), &self.opts)
     }
 
@@ -1044,8 +1041,7 @@ impl Runner {
         }
 
         // The canonical span export must be byte-identical at any worker
-        // count (the span-layer analogue of the chaos drill's event
-        // trace determinism).
+        // count, as in the chaos drill.
         let reference = obs.spans_to_jsonl();
         for w in [2usize, l.serve.workers.max(2)] {
             let (_, other) = observe_at(w);
@@ -1192,6 +1188,12 @@ impl Runner {
         summary.notes = notes;
         Ok(summary)
     }
+}
+
+/// Fact records in an observer's canonical (deterministic) span record:
+/// attributed closes and point spans, each one fact.
+fn fact_records(obs: &Observer) -> usize {
+    obs.spans().iter().filter(|s| s.span.kind.deterministic() && s.span.is_fact()).count()
 }
 
 /// Renders one span tree as an indented markdown list (durations on the

@@ -1,10 +1,10 @@
 //! Property tests for the spec surface: `parse(display(spec)) == spec`
 //! over randomly-populated specs, duplicate/unknown keys are typed
-//! errors, and hostile input never panics the parser.
+//! errors, and hostile input never panics the spec or BENCH parsers.
 
 use mc_datasets::PaperDataset;
 use mc_lm::presets::ModelPreset;
-use mc_spec::{ScenarioKind, ScenarioSpec, SpecError};
+use mc_spec::{BenchReport, ScenarioKind, ScenarioSpec, SpecError};
 use multicast_core::robust::FaultProfile;
 use multicast_core::MuxMethod;
 use proptest::prelude::*;
@@ -136,6 +136,47 @@ proptest! {
         if let Ok(spec) = ScenarioSpec::parse(&text) {
             // Anything that parses must re-parse to itself.
             prop_assert_eq!(ScenarioSpec::parse(&spec.to_string()).ok(), Some(spec));
+        }
+    }
+
+    /// `BenchReport::parse` is total: arbitrary text and near-valid
+    /// reports (a rendered report cut short, or with one character
+    /// replaced) parse or fail with a typed error, never a panic. Any
+    /// report of finite metrics round-trips through `to_pretty`, and its
+    /// rendering is canonical (re-rendering the parse is byte-identical).
+    #[test]
+    fn bench_report_parse_is_total_and_round_trips(
+        wild in any::<String>(),
+        name in any::<String>(),
+        keys in prop::collection::vec(any::<String>(), 0..5),
+        bits in prop::collection::vec(any::<u64>(), 0..5),
+        cut in any::<usize>(),
+        patch in any::<char>(),
+    ) {
+        let mut report = BenchReport::new(ScenarioKind::ServeChaos, name);
+        for (key, &b) in keys.iter().zip(&bits) {
+            let v = f64::from_bits(b);
+            report.push(key.clone(), if v.is_finite() { v } else { (b % 1000) as f64 });
+        }
+        let text = report.to_pretty();
+        prop_assert_eq!(BenchReport::parse(&text), Ok(report));
+
+        let chars: Vec<char> = text.chars().collect();
+        let at = cut % (chars.len() + 1);
+        let truncated: String = chars[..at].iter().collect();
+        let mut patched = chars.clone();
+        if at < patched.len() {
+            patched[at] = patch;
+        }
+        let patched: String = patched.into_iter().collect();
+        for input in [wild, truncated, patched] {
+            let Ok(parsed) = BenchReport::parse(&input) else { continue };
+            if parsed.metrics.iter().all(|(_, v)| v.is_finite()) {
+                let canonical = parsed.to_pretty();
+                let reparsed = BenchReport::parse(&canonical);
+                prop_assert_eq!(reparsed.as_ref().map(BenchReport::to_pretty), Ok(canonical));
+                prop_assert_eq!(reparsed, Ok(parsed));
+            }
         }
     }
 }

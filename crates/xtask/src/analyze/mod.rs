@@ -13,7 +13,7 @@
 //!   grammar key consumed by the builder, every `ScenarioKind` backed by
 //!   a committed golden spec (and a BENCH baseline when its runner emits
 //!   one). The telemetry taxonomies (`Counter`, `DefectClass`,
-//!   `EventKind`, `SpanKind`) have no pass here: each is defined once in
+//!   `SpanKind`, `Attrs`) have no pass here: each is defined once in
 //!   `mc-obs`, and rustc plus clippy's wildcard lints hold its export and
 //!   metrics matches exhaustive.
 //! - **[`stale`]** — cross-references `mc-lint.allow` entries against

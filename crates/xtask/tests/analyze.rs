@@ -41,8 +41,8 @@ fn the_committed_workspace_is_clean() {
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     assert!(report.clean(), "{:?}", report.findings);
     assert!(report.files >= 100, "only {} files analyzed", report.files);
-    assert_eq!(report.lock_sites, 20, "lock inventory moved; update DESIGN.md §13");
-    assert!(report.to_json().contains("\"lock_sites\":20"), "{}", report.to_json());
+    assert_eq!(report.lock_sites, 18, "lock inventory moved; update DESIGN.md §13");
+    assert!(report.to_json().contains("\"lock_sites\":18"), "{}", report.to_json());
 }
 
 #[test]
@@ -78,7 +78,7 @@ fn lock_pass_covers_every_acquisition_site_in_serve_land() {
         covered += reported;
     }
     assert_eq!(covered, 16, "serve-land acquisition count moved; re-audit lock order");
-    assert_eq!(report.sites.len(), 20, "workspace-wide site count (incl. obs/record.rs)");
+    assert_eq!(report.sites.len(), 18, "workspace-wide site count (incl. obs/record.rs)");
 }
 
 #[test]

@@ -327,11 +327,11 @@ proptest! {
     }
 
     /// Observability is exact accounting, not sampling: for an arbitrary
-    /// served batch, per-request costs reconstructed purely from trace
-    /// events (attempts keyed by request fingerprint, the context-fit
-    /// prompt pass for the owner) equal the scheduler's attributed costs,
-    /// and per-context session events reproduce the metered `CostLedger`
-    /// snapshot exactly.
+    /// served batch, per-request costs reconstructed purely from the span
+    /// record's attributes (attempt closes keyed by request fingerprint,
+    /// the context-fit close's prompt pass for the owner) equal the
+    /// scheduler's attributed costs, and per-context session closes
+    /// reproduce the metered `CostLedger` snapshot exactly.
     #[test]
     fn trace_events_reconstruct_costs_exactly(
         specs in prop::collection::vec((0usize..3, 2usize..5, 1usize..4, 0u64..1000), 1..5),
@@ -341,7 +341,7 @@ proptest! {
         use multicast_suite::core::serve::{
             request_fingerprints, serve_all_observed, ForecastRequest, ServeConfig,
         };
-        use multicast_suite::obs::{EventKind, Observer};
+        use multicast_suite::obs::{Attrs, Observer, SpanKind};
 
         let trains: Vec<MultivariateSeries> = (0..2usize)
             .map(|t| {
@@ -364,17 +364,21 @@ proptest! {
         let fps = request_fingerprints(&requests);
         let obs = Arc::new(Observer::logical());
         let run = serve_all_observed(&requests, &ServeConfig::with_workers(workers), obs.clone());
-        let events = obs.events();
+        // The span record's fact-bearing close halves: (scope, kind, attrs).
+        let facts: Vec<(u64, SpanKind, Attrs)> = obs
+            .spans()
+            .iter()
+            .filter(|s| s.span.is_fact())
+            .map(|s| (s.span.req, s.span.kind, s.span.attrs))
+            .collect();
 
         // One context_fit per context, agreeing with the backend's prompt
-        // cost; session_cost events reproduce the metered ledger.
+        // cost; session closes reproduce the metered ledger.
         for stats in &run.contexts {
-            let fits: Vec<_> = events
+            let fits: Vec<_> = facts
                 .iter()
-                .filter_map(|s| match s.event.kind {
-                    EventKind::ContextFit { prompt_tokens, work_units }
-                        if s.event.ctx == stats.fingerprint =>
-                    {
+                .filter_map(|&(scope, _, attrs)| match attrs {
+                    Attrs::Fit { prompt_tokens, work_units } if scope == stats.fingerprint => {
                         Some((prompt_tokens, work_units))
                     }
                     _ => None,
@@ -384,16 +388,16 @@ proptest! {
             prop_assert_eq!(fits[0].0, stats.prompt_cost.prompt_tokens);
             prop_assert_eq!(fits[0].1, stats.prompt_cost.work_units);
             let (mut sessions, mut gen, mut work) = (0u64, 0u64, 0u64);
-            for s in &events {
-                if let EventKind::SessionCost { generated_tokens, work_units } = s.event.kind {
-                    if s.event.ctx == stats.fingerprint {
+            for &(scope, _, attrs) in &facts {
+                if let Attrs::Session { generated_tokens, work_units } = attrs {
+                    if scope == stats.fingerprint {
                         sessions += 1;
                         gen += generated_tokens;
                         work += work_units;
                     }
                 }
             }
-            prop_assert_eq!(sessions, stats.sessions, "session count from events");
+            prop_assert_eq!(sessions, stats.sessions, "session count from session spans");
             prop_assert_eq!(gen, stats.metered.generated_tokens, "ledger generated tokens");
             prop_assert_eq!(
                 work + stats.prompt_cost.work_units,
@@ -402,14 +406,16 @@ proptest! {
             );
         }
 
-        // Per-request: summing attempt events keyed by the request's trace
+        // Per-request: summing attempt closes scoped to the request's trace
         // fingerprint reconstructs its attributed cost exactly; the
         // context owner additionally carries the one-time prompt pass.
         for (i, outcome) in run.outcomes.iter().enumerate() {
             let (mut gen, mut work) = (0u64, 0u64);
-            for s in &events {
-                if s.event.req == fps[i] {
-                    if let EventKind::Attempt { generated_tokens, work_units, .. } = s.event.kind {
+            for &(scope, kind, attrs) in &facts {
+                if let (SpanKind::Attempt { .. }, Attrs::Attempt { generated_tokens, work_units, .. }) =
+                    (kind, attrs)
+                {
+                    if scope == fps[i] {
                         gen += generated_tokens;
                         work += work_units;
                     }
@@ -685,6 +691,75 @@ proptest! {
             }
             let word: Vec<usize> = word.iter().map(|&s| s % size).collect();
             prop_assert_eq!(encoder.parse(&encoder.to_string(&word)), Some(word));
+        }
+    }
+
+    /// The CSV readers are total: arbitrary and near-valid text (a short
+    /// header over rows of number-ish fields) yields a rectangular series
+    /// or a typed error, never a panic; `read_values` likewise yields a
+    /// non-empty column or a typed error.
+    #[test]
+    fn csv_readers_are_total(
+        wild in any::<String>(),
+        header in "[ab ,]{0,8}",
+        rows in prop::collection::vec("[0-9.,eE+ -]{0,12}", 0..6),
+    ) {
+        use multicast_suite::tslib::error::TsError;
+        use multicast_suite::tslib::io::{read_csv_str, read_values};
+        let near = format!("{header}\n{}", rows.join("\n"));
+        for text in [wild.as_str(), near.as_str(), &near[header.len()..]] {
+            match read_csv_str(text) {
+                Ok(series) => {
+                    for d in 0..series.dims() {
+                        prop_assert_eq!(series.column(d).unwrap().len(), series.len());
+                    }
+                }
+                Err(e) => prop_assert!(
+                    matches!(e, TsError::Parse { .. } | TsError::Empty | TsError::InvalidParameter { .. }),
+                    "{:?} -> {:?}", text, e
+                ),
+            }
+            match read_values(text) {
+                Ok(values) => prop_assert!(!values.is_empty()),
+                Err(e) => prop_assert!(
+                    matches!(e, TsError::Parse { .. } | TsError::Empty),
+                    "{:?} -> {:?}", text, e
+                ),
+            }
+        }
+    }
+
+    /// `write_csv_str` → `read_csv_str` is the identity on every series
+    /// the writer can represent: distinct names without `,`, newlines or
+    /// outer whitespace, and finite values (bit-exact, zero rows
+    /// included).
+    #[test]
+    fn csv_write_read_round_trips(
+        inner in prop::collection::vec("[a-zA-Z0-9_ .;:\t]{0,6}", 1..4),
+        bits in prop::collection::vec(any::<u64>(), 0..40),
+    ) {
+        use multicast_suite::tslib::io::{read_csv_str, write_csv_str};
+        let names: Vec<String> = inner.iter().enumerate().map(|(i, s)| format!("n{s}{i}")).collect();
+        let dims = names.len();
+        let rows = bits.len() / dims;
+        let columns: Vec<Vec<f64>> = (0..dims)
+            .map(|d| {
+                (0..rows)
+                    .map(|t| {
+                        let b = bits[t * dims + d];
+                        let v = f64::from_bits(b);
+                        if v.is_finite() { v } else { (b % 1000) as f64 - 500.0 }
+                    })
+                    .collect()
+            })
+            .collect();
+        let series = MultivariateSeries::from_columns(names, columns).unwrap();
+        let back = read_csv_str(&write_csv_str(&series)).unwrap();
+        prop_assert_eq!(back.names(), series.names());
+        prop_assert_eq!(back.len(), rows);
+        for d in 0..dims {
+            let (a, b) = (series.column(d).unwrap(), back.column(d).unwrap());
+            prop_assert!(a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()), "dim {}", d);
         }
     }
 }

@@ -207,7 +207,7 @@ fn defect_taxonomy_is_pinned_across_crates() {
 fn serve_registry_counters_match_rigged_fault_reports() {
     // Three requests with different fault profiles: 40 % corruption plus a
     // guaranteed panic, total corruption (quorum failure + fallback), and a
-    // clean model-backed run. The registry fed live by trace events must
+    // clean model-backed run. The registry derived live from spans must
     // agree exactly with the per-request reports' own accounting.
     let s = series(96);
     let (train, _) = holdout_split(&s, 0.1).unwrap();

@@ -165,13 +165,10 @@ fn fixed_seed_request_is_bit_identical_across_schedulers() {
             assert_eq!(engine_equivalent_cost(run, outcome), *cost, "{tag}: cost");
         }
     };
-    let observed = |r: &[ForecastRequest], w| {
-        serve_all_observed(r, &ServeConfig::with_workers(w), Arc::new(Observer::logical()))
-    };
-    check(&observed(&requests, 1), &requests, "1 worker");
+    check(&serve_all(&requests, &ServeConfig::with_workers(1)), &requests, "1 worker");
     for shuffle_seed in [1u64, 7, 31] {
         let order = shuffled(&requests, shuffle_seed);
-        let wide = observed(&order, 8);
+        let wide = serve_all(&order, &ServeConfig::with_workers(8));
         check(&wide, &order, &format!("8 workers, shuffle {shuffle_seed}"));
     }
 }
@@ -378,45 +375,12 @@ fn cost_conservation_survives_fault_injection() {
 }
 
 /// Tentpole acceptance: with fixed seeds and the logical clock, the
-/// canonical trace export is *byte-identical* across worker counts and
-/// submission orders — concurrency is invisible to the trace exactly as
-/// it is to the forecasts. Runs the full 32-request stress batch, rigged
-/// faults included.
-#[test]
-fn canonical_trace_is_byte_identical_across_schedules() {
-    let requests = stress_batch();
-    let serve_traced = |order: &[ForecastRequest], workers: usize| {
-        let obs = Arc::new(Observer::logical());
-        serve_all_observed(order, &ServeConfig::with_workers(workers), obs.clone());
-        (obs.to_jsonl(), obs.metrics().get(Counter::Attempts))
-    };
-
-    let (reference, attempts) = serve_traced(&requests, 1);
-    assert!(!reference.is_empty(), "the stress batch must produce a trace");
-    assert!(
-        reference.lines().count() > 32,
-        "more trace rows than requests: attempts, joins, resolves"
-    );
-    for line in reference.lines() {
-        assert!(line.starts_with("{\"t\":") && line.ends_with('}'), "JSONL row: {line}");
-    }
-
-    for workers in [2usize, 4, 8] {
-        let (trace, n) = serve_traced(&requests, workers);
-        assert_eq!(trace, reference, "{workers} workers changed the canonical trace");
-        assert_eq!(n, attempts, "{workers} workers changed the attempt count");
-    }
-    for shuffle_seed in [3u64, 11] {
-        let order = shuffled(&requests, shuffle_seed);
-        let (trace, _) = serve_traced(&order, 8);
-        assert_eq!(trace, reference, "shuffle {shuffle_seed} changed the canonical trace");
-    }
-}
-
-/// Tentpole acceptance: the canonical *span* export — like the event
-/// trace above — is byte-identical across worker counts and submission
-/// orders, and every span half pairs cleanly (no orphaned opens, no
-/// double closes), rigged faults and a panicking draw included.
+/// canonical span export — the one trace record — is *byte-identical*
+/// across worker counts and submission orders: concurrency is invisible
+/// to the trace exactly as it is to the forecasts. Runs the full
+/// 32-request stress batch, rigged faults included, and every span half
+/// pairs cleanly (no orphaned opens, no double closes), a panicking draw
+/// included.
 #[test]
 fn canonical_span_export_is_byte_identical_across_schedules() {
     use mc_obs::pair_spans;
@@ -424,23 +388,37 @@ fn canonical_span_export_is_byte_identical_across_schedules() {
     let serve_spanned = |order: &[ForecastRequest], workers: usize| {
         let obs = Arc::new(Observer::logical());
         serve_all_observed(order, &ServeConfig::with_workers(workers), obs.clone());
-        (obs.spans_to_jsonl(), obs.spans())
+        (obs.spans_to_jsonl(), obs.spans(), obs.metrics().get(Counter::Attempts))
     };
 
-    let (reference, spans) = serve_spanned(&requests, 1);
+    let (reference, spans, attempts) = serve_spanned(&requests, 1);
     assert!(!reference.is_empty(), "the stress batch must produce spans");
     for line in reference.lines() {
         assert!(line.starts_with("{\"t\":") && line.ends_with('}'), "span JSONL row: {line}");
         assert!(!line.contains("\"wall\""), "canonical spans must not leak wall stamps: {line}");
     }
+    let facts = spans.iter().filter(|s| s.span.kind.deterministic() && s.span.is_fact()).count();
+    assert!(facts > 32, "more fact records than requests: attempts, joins, resolves");
     // Every span half pairs: no orphaned open, no double close — even
     // with request 19's rigged panic unwinding through a draw.
     let paired = pair_spans(&spans).expect("1-worker span stream pairs cleanly");
     assert_eq!(paired.len() * 2, spans.len(), "every half belongs to exactly one pair");
     // The whole serve-path vocabulary shows up in one stress batch.
-    for kind in
-        ["request", "context_fit", "attempt", "draw", "retry", "quorum", "queue_wait", "session"]
-    {
+    for kind in [
+        "request",
+        "context_fit",
+        "join",
+        "attempt",
+        "draw",
+        "defect",
+        "panic_isolated",
+        "retry",
+        "quorum",
+        "fallback",
+        "queue_wait",
+        "session",
+        "dedup",
+    ] {
         assert!(
             paired.iter().any(|p| p.kind.name() == kind),
             "stress batch must emit at least one {kind} span"
@@ -448,14 +426,16 @@ fn canonical_span_export_is_byte_identical_across_schedules() {
     }
 
     for workers in [2usize, 4, 8] {
-        let (jsonl, spans) = serve_spanned(&requests, workers);
+        let (jsonl, spans, n) = serve_spanned(&requests, workers);
         assert_eq!(jsonl, reference, "{workers} workers changed the canonical span export");
+        assert_eq!(n, attempts, "{workers} workers changed the attempt count");
         pair_spans(&spans).expect("span stream pairs at any pool width");
     }
     for shuffle_seed in [3u64, 11] {
         let order = shuffled(&requests, shuffle_seed);
-        let (jsonl, spans) = serve_spanned(&order, 8);
+        let (jsonl, spans, n) = serve_spanned(&order, 8);
         assert_eq!(jsonl, reference, "shuffle {shuffle_seed} changed the canonical span export");
+        assert_eq!(n, attempts, "shuffle {shuffle_seed} changed the attempt count");
         pair_spans(&spans).expect("span stream pairs under shuffled submission");
     }
 }
@@ -525,7 +505,7 @@ fn shed_and_served_sets_are_schedule_independent() {
             .zip(run.outcomes.iter().map(|o| o.forecast.is_ok()))
             .collect();
         fates.sort_unstable();
-        (fates, obs.to_jsonl())
+        (fates, obs.spans_to_jsonl())
     };
 
     let (reference, trace) = fates(&requests, 1);
@@ -608,7 +588,7 @@ fn warm_cache_serving_is_bit_identical_to_cold_across_schedules() {
             })
             .collect();
         outcomes.sort_by_key(|&(seed, ..)| seed);
-        (outcomes, obs.to_jsonl(), handle.cache_stats())
+        (outcomes, obs.spans_to_jsonl(), handle.cache_stats())
     };
 
     let (cold, cold_trace, cold_stats) = run(false, 4, None);
